@@ -1,17 +1,16 @@
-"""Campaign engine benchmark: serial vs packed vs vector ->
+"""Campaign engine benchmark: the vector engine vs the serial oracle ->
 BENCH_campaigns.json.
 
-Runs the campaign-class workloads (exhaustive decoder campaign,
-end-to-end scheme campaign, the empirical latency experiment) in smoke
-mode on every available engine, asserts the fast engines are
-**bit-identical** to the serial oracle, and records wall time,
-faults/sec and speedup.  When NumPy is importable the same workloads
-also run on the ``vector`` lane-array engine (``vector_*`` columns) and
-a million-cycle scheme bench exercises its chunked windows against the
-packed engine; without NumPy those columns are omitted and the run
-still succeeds.  The JSON this writes is the perf trajectory baseline
-tracked from PR 2 onward; CI executes it on every push and gates the
-appended history with ``repro analytics regress``.
+Runs the campaign-class workloads (exhaustive decoder campaigns, an
+end-to-end scheme campaign, the empirical latency experiment, a
+scrubbed transient campaign) in smoke mode on both engines, asserts the
+vector engine is **bit-identical** to the serial oracle, and records
+wall time, faults/sec and speedup.  A million-cycle scheme bench times
+the vector engine's bounded-memory windows and checks them against the
+serial oracle replaying a three-window prefix of the trace.  The
+JSON this writes is the perf trajectory baseline tracked from PR 2
+onward; CI executes it on every push and gates the appended history
+with ``repro analytics regress``.
 
 Usage::
 
@@ -40,7 +39,7 @@ from repro.faultsim.injector import (
     decoder_fault_list,
     sample_faults,
 )
-from repro.faultsim.vectorsim import numpy_available
+from repro.faultsim.vectorsim import DEFAULT_WINDOW
 from repro.memory.faults import CellStuckAt, DataLineStuckAt
 from repro.memory.organization import MemoryOrganization
 from repro.memory.ram import BehavioralRAM
@@ -49,11 +48,10 @@ from repro.scenarios import CampaignEngine, TransientScenario, Workload
 
 #: per-bench speedup floors enforced by --check-speedup (local gating;
 #: CI only checks bit-identity to stay robust on shared runners).  The
-#: decoder floor comes from the --check-speedup argument itself; vector
-#: floors are skipped when NumPy is missing.
+#: decoder floor comes from the --check-speedup argument itself.
 FLOORS = (
     ("scheme_64x8_c300", "vector_speedup", 15.0),
-    ("transient_scrubbed_n8", "speedup", 10.0),
+    ("transient_scrubbed_n8", "vector_speedup", 10.0),
 )
 
 
@@ -84,9 +82,24 @@ def _timed(fn, repeats: int = 1):
     return result, best
 
 
+def _row(name, faults, cycles, serial_s, vector_s, identical) -> dict:
+    """One bench record: both engines' wall time and throughput."""
+    return {
+        "name": name,
+        "faults": faults,
+        "cycles": cycles,
+        "serial_s": round(serial_s, 4),
+        "vector_s": round(vector_s, 4),
+        "serial_faults_per_sec": round(faults / serial_s, 1),
+        "vector_faults_per_sec": round(faults / vector_s, 1),
+        "vector_speedup": round(serial_s / vector_s, 1),
+        "identical": identical,
+    }
+
+
 def bench_decoder(n_bits: int, cycles: int, seed: int) -> dict:
     """Exhaustive stuck-at campaign on a checked decoder (the acceptance
-    workload: n=6 over >=256 cycles must clear 20x packed)."""
+    workload: n=6 over >=256 cycles must clear 20x)."""
     code = MOutOfNCode(3, 5)
     checked = CheckedDecoder(mapping_for_code(code, n_bits))
     checker = MOutOfNChecker(code.m, code.n, structural=False)
@@ -103,27 +116,28 @@ def bench_decoder(n_bits: int, cycles: int, seed: int) -> dict:
         )
 
     serial, serial_s = run("serial")
-    packed, packed_s = run("packed")
-    row = {
-        "name": f"decoder_n{n_bits}_c{cycles}",
-        "faults": len(faults),
-        "cycles": cycles,
-        "serial_s": round(serial_s, 4),
-        "packed_s": round(packed_s, 4),
-        "serial_faults_per_sec": round(len(faults) / serial_s, 1),
-        "packed_faults_per_sec": round(len(faults) / packed_s, 1),
-        "speedup": round(serial_s / packed_s, 1),
-        "identical": _records(serial) == _records(packed),
-    }
-    if numpy_available():
-        vector, vector_s = run("vector")
-        row["vector_s"] = round(vector_s, 4)
-        row["vector_faults_per_sec"] = round(len(faults) / vector_s, 1)
-        row["vector_speedup"] = round(serial_s / vector_s, 1)
-        row["identical"] = row["identical"] and (
-            _records(serial) == _records(vector)
-        )
-    return row
+    vector, vector_s = run("vector")
+    return _row(
+        f"decoder_n{n_bits}_c{cycles}", len(faults), cycles,
+        serial_s, vector_s, _records(serial) == _records(vector),
+    )
+
+
+def _scheme_faults(build, seed: int, rows=None, columns=12):
+    probe = build()
+    row_faults = decoder_fault_list(probe.row)
+    if rows is not None:
+        row_faults = sample_faults(row_faults, rows, seed=seed)
+    column_faults = sample_faults(
+        decoder_fault_list(probe.column), columns, seed=seed
+    )
+    return row_faults, column_faults
+
+
+def _scheme_key(result):
+    return [
+        (str(r.fault), r.kind, r.first_detection) for r in result.records
+    ]
 
 
 def bench_scheme(cycles: int, seed: int) -> dict:
@@ -133,11 +147,7 @@ def bench_scheme(cycles: int, seed: int) -> dict:
     def build():
         return SelfCheckingMemory.from_selection(org, select_code(10, 1e-9))
 
-    probe = build()
-    row_faults = decoder_fault_list(probe.row)
-    column_faults = sample_faults(
-        decoder_fault_list(probe.column), 12, seed=seed
-    )
+    row_faults, column_faults = _scheme_faults(build, seed)
     memory_faults = [
         CellStuckAt(5, 1, 1), CellStuckAt(40, 0, 0), DataLineStuckAt(3, 1),
     ]
@@ -157,96 +167,83 @@ def bench_scheme(cycles: int, seed: int) -> dict:
             repeats=5,
         )
 
-    def key(result):
-        return [
-            (str(r.fault), r.kind, r.first_detection)
-            for r in result.records
-        ]
-
     serial, serial_s = run("serial")
-    packed, packed_s = run("packed")
-    row = {
-        "name": f"scheme_64x8_c{cycles}",
-        "faults": total,
-        "cycles": cycles,
-        "serial_s": round(serial_s, 4),
-        "packed_s": round(packed_s, 4),
-        "serial_faults_per_sec": round(total / serial_s, 1),
-        "packed_faults_per_sec": round(total / packed_s, 1),
-        "speedup": round(serial_s / packed_s, 1),
-        "identical": key(serial) == key(packed),
-    }
-    if numpy_available():
-        vector, vector_s = run("vector")
-        row["vector_s"] = round(vector_s, 4)
-        row["vector_faults_per_sec"] = round(total / vector_s, 1)
-        row["vector_speedup"] = round(serial_s / vector_s, 1)
-        row["identical"] = row["identical"] and (
-            key(serial) == key(vector)
-        )
-    return row
+    vector, vector_s = run("vector")
+    return _row(
+        f"scheme_64x8_c{cycles}", total, cycles, serial_s, vector_s,
+        _scheme_key(serial) == _scheme_key(vector),
+    )
 
 
-def bench_scheme_c1m(cycles: int = 1_000_000, seed: int = 17) -> dict:
-    """Million-cycle scheme campaign, vector vs packed (serial would
-    take hours here, so the packed engine — itself a proven oracle — is
-    the baseline).  The vector engine streams the address trace through
-    its default 8192-lane windows, so peak memory stays bounded no
-    matter the cycle count."""
+def bench_scheme_c1m(
+    cycles: int = 1_000_000,
+    seed: int = 17,
+    oracle_cycles: int = 3 * DEFAULT_WINDOW,
+) -> dict:
+    """Million-cycle scheme campaign on the vector engine.  It streams
+    the trace through its default windows, so peak memory stays bounded
+    no matter the cycle count.  The serial oracle replays the first
+    ``oracle_cycles`` of the trace — three windows by default, so window
+    boundaries and the hand-off of undetected faults from one window to
+    the next are checked too: every first detection inside that prefix
+    must match, and later ones must be misses there.  The trace keeps
+    to the lower half of the array for its first one and a half windows,
+    so faults in the upper half are first detected in the second
+    window."""
     org = MemoryOrganization(64, 8, column_mux=4)
 
     def build():
         return SelfCheckingMemory.from_selection(org, select_code(10, 1e-9))
 
-    # a handful of faults: the packed baseline walks every 64-cycle
-    # word per fault, so the fault count (not the vector engine) bounds
-    # this bench's wall time
-    probe = build()
-    row_faults = sample_faults(decoder_fault_list(probe.row), 3, seed=seed)
-    column_faults = sample_faults(
-        decoder_fault_list(probe.column), 2, seed=seed
-    )
-    memory_faults = [CellStuckAt(9, 2, 1)]
-    addresses = Workload.uniform(1 << org.n, cycles, seed=seed).address_list()
+    row_faults, column_faults = _scheme_faults(build, seed, rows=3, columns=2)
+    memory_faults = [CellStuckAt(9, 2, 1), CellStuckAt(40, 0, 0)]
+    lower = DEFAULT_WINDOW + DEFAULT_WINDOW // 2
+    space = 1 << org.n
+    addresses = (
+        Workload.uniform(space // 2, lower, seed=seed)
+        + Workload.uniform(space, cycles - lower, seed=seed)
+    ).address_list()
     total = len(row_faults) + len(column_faults) + len(memory_faults)
 
-    def run(engine):
-        memory = build()
-        return _timed(
-            lambda: scheme_campaign(
-                memory, addresses, row_faults=row_faults,
-                column_faults=column_faults, memory_faults=memory_faults,
-                engine=engine,
-            )
+    def run(engine, trace):
+        return scheme_campaign(
+            build(), trace, row_faults=row_faults,
+            column_faults=column_faults, memory_faults=memory_faults,
+            engine=engine,
         )
 
-    def key(result):
-        return [
-            (str(r.fault), r.kind, r.first_detection)
-            for r in result.records
-        ]
-
-    packed, packed_s = run("packed")
-    vector, vector_s = run("vector")
+    vector, vector_s = _timed(lambda: run("vector", addresses))
+    oracle, oracle_s = _timed(
+        lambda: run("serial", addresses[:oracle_cycles])
+    )
+    # detections past the prefix are misses for the oracle
+    clipped = [
+        (fault, kind, None if first is None or first >= oracle_cycles
+         else first)
+        for fault, kind, first in _scheme_key(vector)
+    ]
     return {
         "name": "scheme_vector_64x8_c1m",
         "faults": total,
         "cycles": cycles,
-        "packed_s": round(packed_s, 4),
+        "oracle_cycles": oracle_cycles,
+        "oracle_s": round(oracle_s, 4),
+        # detections the oracle can check that land past the first window
+        "oracle_late_detections": sum(
+            DEFAULT_WINDOW <= first < oracle_cycles
+            for _, _, first in _scheme_key(vector)
+            if first is not None
+        ),
         "vector_s": round(vector_s, 4),
-        "packed_faults_per_sec": round(total / packed_s, 1),
         "vector_faults_per_sec": round(total / vector_s, 1),
-        "vector_speedup": round(packed_s / vector_s, 2),
-        "identical": key(packed) == key(vector),
+        "identical": clipped == _scheme_key(oracle),
     }
 
 
 def bench_transient(words: int, cycles: int, seed: int) -> dict:
-    """Transient-upset campaign on a scrubbed workload: the 1.3 packed
-    lane-mask backend vs the per-cycle serial oracle (one upset per
-    pair of addresses, parity-protected RAM, n = log2(words) address
-    bits).  engine="vector" routes transients through the same packed
-    lane algebra, so there is no separate vector column here."""
+    """Transient-upset campaign on a scrubbed workload: the lane-mask
+    backend vs the per-cycle serial oracle (one upset per pair of
+    addresses, parity-protected RAM, n = log2(words) address bits)."""
     org = MemoryOrganization(words, 8, column_mux=8)
     scenarios = [
         TransientScenario.single(
@@ -256,35 +253,24 @@ def bench_transient(words: int, cycles: int, seed: int) -> dict:
     ]
     workload = Workload.scrubbed(words, cycles, scrub_period=4, seed=seed)
 
-    serial, serial_s = _timed(
-        lambda: CampaignEngine(engine="serial").transient(
-            BehavioralRAM(org), scenarios, workload
+    def run(engine, repeats):
+        return _timed(
+            lambda: CampaignEngine(engine=engine).transient(
+                BehavioralRAM(org), scenarios, workload
+            ),
+            repeats=repeats,
         )
+
+    serial, serial_s = run("serial", 1)
+    vector, vector_s = run("vector", 3)
+    return _row(
+        f"transient_scrubbed_n{org.n}", len(scenarios), cycles,
+        serial_s, vector_s, _records(serial) == _records(vector),
     )
-    packed, packed_s = _timed(
-        lambda: CampaignEngine(engine="packed").transient(
-            BehavioralRAM(org), scenarios, workload
-        ),
-        repeats=3,
-    )
-    identical = _records(serial) == _records(packed)
-    total = len(scenarios)
-    n_bits = org.n
-    return {
-        "name": f"transient_scrubbed_n{n_bits}",
-        "faults": total,
-        "cycles": cycles,
-        "serial_s": round(serial_s, 4),
-        "packed_s": round(packed_s, 4),
-        "serial_faults_per_sec": round(total / serial_s, 1),
-        "packed_faults_per_sec": round(total / packed_s, 1),
-        "speedup": round(serial_s / packed_s, 1),
-        "identical": identical,
-    }
 
 
 def bench_latency_experiment(n_bits: int, cycles: int) -> dict:
-    """The X1 empirical-latency experiment end to end on every engine."""
+    """The X1 empirical-latency experiment end to end on both engines."""
 
     def run(engine):
         # best of 3: the experiment records its own wall time, so pick
@@ -300,45 +286,23 @@ def bench_latency_experiment(n_bits: int, cycles: int) -> dict:
         )
 
     serial = run("serial")
-    packed = run("packed")
-    row = {
-        "name": f"latency_empirical_n{n_bits}_c{cycles}",
-        "faults": packed.faults,
-        "cycles": cycles,
-        "serial_s": round(serial.wall_time_s, 4),
-        "packed_s": round(packed.wall_time_s, 4),
-        "serial_faults_per_sec": round(serial.faults_per_sec, 1),
-        "packed_faults_per_sec": round(packed.faults_per_sec, 1),
-        "speedup": round(serial.wall_time_s / packed.wall_time_s, 1),
-        "identical": serial.curve == packed.curve
-        and serial.coverage == packed.coverage,
-    }
-    if numpy_available():
-        vector = run("vector")
-        row["vector_s"] = round(vector.wall_time_s, 4)
-        row["vector_faults_per_sec"] = round(vector.faults_per_sec, 1)
-        row["vector_speedup"] = round(
-            serial.wall_time_s / vector.wall_time_s, 1
-        )
-        row["identical"] = row["identical"] and (
-            serial.curve == vector.curve
-            and serial.coverage == vector.coverage
-        )
-    return row
+    vector = run("vector")
+    return _row(
+        f"latency_empirical_n{n_bits}_c{cycles}", vector.faults, cycles,
+        serial.wall_time_s, vector.wall_time_s,
+        serial.curve == vector.curve and serial.coverage == vector.coverage,
+    )
 
 
 def _check_floors(benches, check_speedup) -> int:
     """Apply the per-bench speedup floors; returns the number of
-    violations (0 = all clear).  Earlier revisions gated only the first
-    bench — every floor is now enforced by name."""
+    violations (0 = all clear)."""
     by_name = {b["name"]: b for b in benches}
-    floors = [("decoder_n6_c512", "speedup", check_speedup)]
+    floors = [("decoder_n6_c512", "vector_speedup", check_speedup)]
     floors += list(FLOORS)
     failures = 0
     for name, column, floor in floors:
-        bench = by_name.get(name)
-        if bench is None or column not in bench:
-            continue  # NumPy-free run: vector floors don't apply
+        bench = by_name[name]
         if bench[column] < floor:
             print(
                 f"FAIL: {name} {column} x{bench[column]} below the "
@@ -360,9 +324,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check-speedup", type=float, default=None, metavar="X",
-        help="fail unless the 6-bit decoder packed bench clears X and "
-        "every FLOORS entry holds (local gating; CI only checks "
-        "bit-identity to stay robust on shared runners)",
+        help="fail unless the 6-bit decoder bench clears X and every "
+        "FLOORS entry holds (local gating; CI only checks bit-identity "
+        "to stay robust on shared runners)",
     )
     args = parser.parse_args(argv)
 
@@ -372,16 +336,11 @@ def main(argv=None) -> int:
         bench_scheme(cycles=300, seed=3),
         bench_latency_experiment(n_bits=5, cycles=150),
         bench_transient(words=256, cycles=3000, seed=9),
+        bench_scheme_c1m(),
     ]
-    if numpy_available():
-        benches.append(bench_scheme_c1m())
-    else:
-        print("numpy not importable: vector columns and the c1m bench "
-              "are skipped")
     payload = {
         "bench": "campaign_engines",
         "version": __version__,
-        "numpy": numpy_available(),
         "benches": benches,
     }
     with open(args.out, "w") as handle:
@@ -395,21 +354,17 @@ def main(argv=None) -> int:
     width = max(len(b["name"]) for b in benches)
     for b in benches:
         flag = "ok " if b["identical"] else "MISMATCH"
-        base = (
+        serial = (
             f"serial {b['serial_s']*1e3:8.1f} ms"
             if "serial_s" in b else "serial        --"
         )
-        vector = (
-            f"  vector {b['vector_s']*1e3:7.1f} ms"
-            f" x{b['vector_speedup']:<6g}"
-            if "vector_s" in b else ""
+        speedup = (
+            f" x{b['vector_speedup']:<6g}" if "vector_speedup" in b else ""
         )
-        speedup = f" x{b['speedup']:<6g}" if "speedup" in b else ""
         print(
             f"{b['name']:<{width}}  {b['faults']:>4} faults x "
-            f"{b['cycles']:>7} cycles  {base}"
-            f"  packed {b['packed_s']*1e3:7.1f} ms{speedup}{vector}"
-            f" [{flag}]"
+            f"{b['cycles']:>7} cycles  {serial}"
+            f"  vector {b['vector_s']*1e3:7.1f} ms{speedup} [{flag}]"
         )
     print(f"wrote {args.out}")
     if args.history:
@@ -417,7 +372,7 @@ def main(argv=None) -> int:
 
     if not all(b["identical"] for b in benches):
         print(
-            "FAIL: a fast engine diverged from its reference oracle",
+            "FAIL: the vector engine diverged from the serial oracle",
             file=sys.stderr,
         )
         return 1

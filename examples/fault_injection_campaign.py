@@ -31,7 +31,7 @@ def main() -> None:
     mapping = mapping_for_code(code, n_bits)
     checked = CheckedDecoder(mapping)
     checker = MOutOfNChecker(code.m, code.n, structural=False)
-    engine = CampaignEngine()  # packed fast path, collapsing on
+    engine = CampaignEngine()  # vector fast path, collapsing on
 
     faults = decoder_fault_list(checked) + rom_fault_list(checked)
     print(

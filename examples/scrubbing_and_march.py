@@ -34,7 +34,7 @@ from repro.scenarios import (
     Workload,
 )
 
-ENGINE = CampaignEngine()  # packed fast path; engine="serial" = oracle
+ENGINE = CampaignEngine()  # vector fast path; engine="serial" = oracle
 
 
 def soft_error_scrubbing() -> None:

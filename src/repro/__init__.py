@@ -47,9 +47,8 @@ Layer map
                    ResultSet artifacts (streaming JSONL, merge/filter/
                    group_by/diff) + the content-addressed ResultStore
                    campaign cache
-``repro.faultsim`` fault-injection campaigns: packed bit-parallel
-                   engine (default), the NumPy lane-array vector
-                   engine (``repro[vector]``) + the serial reference
+``repro.faultsim`` fault-injection campaigns: the NumPy lane-array
+                   vector engine (default) + the serial reference
                    oracle
 ``repro.suite``    the batch layer: declarative SuiteSpec campaign
                    matrices, a pooled SuiteRunner with store-backed
@@ -174,7 +173,7 @@ from repro.scenarios import (
 )
 from repro.service import CampaignService, ServiceClient
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",

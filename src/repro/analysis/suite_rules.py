@@ -74,29 +74,22 @@ def _check_workloads(
     "suite-engine",
     "suite",
     severity="error",
-    summary="every engine policy names an available campaign engine",
+    summary="every engine policy names a campaign engine",
 )
 def _check_engines(
     suite: SuiteSpec, ctx: Context, rule: LintRule
 ) -> Iterable[object]:
-    from repro.faultsim import resolve_engine
+    from repro.faultsim import check_engine
 
     for cell in suite.cells():
         engine = cell.policy.get("engine")
         if engine is None:
             continue
         try:
-            resolve_engine(engine)
+            check_engine(engine)
         except ValueError as exc:
             yield rule.finding(
                 _cell_loc(ctx, cell), f"{exc} — the cell can never run"
-            )
-        except RuntimeError as exc:
-            yield rule.finding(
-                _cell_loc(ctx, cell),
-                f"engine policy unavailable in this environment: {exc}",
-                hint="use engine='auto' to fall back when NumPy is "
-                "missing",
             )
 
 

@@ -24,7 +24,6 @@ from repro.circuits.parallel import (
     evaluate_packed,
     first_set_lane,
     lanes_equal_const,
-    pack_addresses,
     pack_stimuli,
     packed_rom_words,
     popcount_lanes,
@@ -62,7 +61,6 @@ __all__ = [
     "representative_faults",
     "evaluate_packed",
     "pack_stimuli",
-    "pack_addresses",
     "packed_rom_words",
     "unpack_outputs",
     "popcount_lanes",

@@ -19,7 +19,7 @@ structural and conservative: two faults in one class are *guaranteed*
 functionally equivalent at every primary output (the test suite re-proves
 this by exhaustive simulation on randomly built circuits).  Output
 equivalence is exactly what a campaign observes, which is what lets the
-packed engine (:mod:`repro.faultsim.fastsim`) simulate one representative
+vector engine (:mod:`repro.faultsim.vectorsim`) simulate one representative
 per class and fan the measured latencies back out to every member.
 
 For the paper's decoder trees the collapse ratio is substantial — the

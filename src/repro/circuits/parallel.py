@@ -27,7 +27,6 @@ __all__ = [
     "packed_gate_word",
     "evaluate_packed",
     "packed_rom_words",
-    "pack_addresses",
     "popcount_lanes",
     "lanes_equal_const",
     "xor_fold_lanes",
@@ -40,10 +39,9 @@ def packed_gate_word(
 ) -> int:
     """One gate's output lane-word from its input lane-words.
 
-    The single definition of per-lane gate semantics shared by
-    :func:`evaluate_packed` and the incremental engine in
-    :mod:`repro.faultsim.fastsim`; per lane it matches
-    :func:`repro.circuits.gates.evaluate_gate`.
+    The per-lane gate semantics of :func:`evaluate_packed` (the vector
+    engine's ``_VectorCircuit`` mirrors them over NumPy lanes); per lane
+    it matches :func:`repro.circuits.gates.evaluate_gate`.
     """
     if gate_type is GateType.AND:
         acc = mask
@@ -156,32 +154,6 @@ def evaluate_packed(
         values[gate.output] = acc if forced is None else forced_word(forced)
 
     return [values[net] for net in circuit.output_nets]
-
-
-def pack_addresses(
-    addresses: Sequence[int], n_bits: int
-) -> Tuple[List[int], int]:
-    """Pack an address stream into one lane-word per address bit.
-
-    Bit ``i`` of the address maps to input ``i`` (LSB-first, the decoder
-    convention); lane ``k`` of the result words is address ``k`` of the
-    stream.  Equivalent to :func:`pack_stimuli` over the bit expansion,
-    without materialising the intermediate vectors.
-
-    >>> pack_addresses([1, 0, 3], 2)
-    ([5, 4], 3)
-    """
-    top = 1 << n_bits
-    packed = [0] * n_bits
-    for lane, address in enumerate(addresses):
-        if not 0 <= address < top:
-            raise ValueError(
-                f"address {address} out of range [0, {top})"
-            )
-        for i in range(n_bits):
-            if (address >> i) & 1:
-                packed[i] |= 1 << lane
-    return packed, len(addresses)
 
 
 def popcount_lanes(words: Sequence[int], mask: int) -> List[int]:

@@ -26,6 +26,7 @@ from repro import __version__
 from repro.core.selection import SelectionPolicy, select_code
 from repro.design.engine import DesignEngine
 from repro.design.spec import CHECKER_STYLES, DesignSpec
+from repro.faultsim.vectorsim import CAMPAIGN_ENGINES
 from repro.memory.organization import PAPER_ORGS, MemoryOrganization, paper_org
 
 __all__ = ["main", "build_parser", "EXPERIMENTS"]
@@ -52,60 +53,37 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 
 #: campaign engine policies the CLI accepts (--engine)
-ENGINE_CHOICES = ("serial", "packed", "vector", "auto")
+ENGINE_CHOICES = CAMPAIGN_ENGINES
 
 
 def _validate_engine_args(args: argparse.Namespace) -> None:
-    """--workers only applies to the parallel engines; refuse the combo
+    """--workers only applies to the vector engine; refuse the combo
     (and nonsensical counts) rather than silently running
     single-process."""
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 1:
         raise ValueError(f"--workers must be >= 1, got {workers}")
-    if getattr(args, "engine", "packed") == "serial" and workers is not None:
+    if getattr(args, "engine", "vector") == "serial" and workers is not None:
         raise ValueError(
-            "--workers requires the packed or vector engine "
-            "(drop --engine serial)"
+            "--workers requires the vector engine (drop --engine serial)"
         )
-
-
-def _add_engine_aliases(group, dest: str) -> None:
-    """Deprecated --packed/--serial aliases for --engine packed/serial."""
-    group.add_argument(
-        "--packed",
-        dest=dest,
-        action="store_const",
-        const="packed",
-        help="deprecated alias for --engine packed",
-    )
-    group.add_argument(
-        "--serial",
-        dest=dest,
-        action="store_const",
-        const="serial",
-        help="deprecated alias for --engine serial",
-    )
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     """--engine policy switch + --workers for campaign commands."""
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
+    parser.add_argument(
         "--engine",
         choices=ENGINE_CHOICES,
-        default="packed",
-        help="campaign engine: packed (bit-parallel, default), vector "
-        "(NumPy lane arrays, needs repro[vector]), serial (per-cycle "
-        "oracle), auto (vector when NumPy is importable)",
+        default="vector",
+        help="campaign engine: vector (NumPy lane arrays, default) or "
+        "serial (per-cycle oracle, bit-identical and much slower)",
     )
-    _add_engine_aliases(group, "engine")
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
         metavar="N",
-        help="shard the fault list over N processes "
-        "(packed/vector engines)",
+        help="shard the fault list over N processes (vector engine)",
     )
 
 
@@ -915,7 +893,7 @@ def _cmd_suite_show(args: argparse.Namespace) -> int:
             cell.cell_id,
             cell.family,
             (cell.scenarios or {}).get("population", "-"),
-            cell.policy.get("engine", "packed"),
+            cell.policy.get("engine", "vector"),
         ]
         for cell in cells
     ]
@@ -943,9 +921,8 @@ class ExperimentCommand:
     #: commands the generator takes (engine=, workers=) so the rows are
     #: produced by the engine the user selected
     rows_attr: Optional[str] = None
-    #: campaign-driven commands grow --engine (plus the deprecated
-    #: --packed/--serial aliases) and --workers and report wall time +
-    #: faults/sec under --json
+    #: campaign-driven commands grow --engine and --workers and report
+    #: wall time + faults/sec under --json
     engine_aware: bool = False
 
     def run(self, args: argparse.Namespace) -> int:
@@ -972,10 +949,7 @@ class ExperimentCommand:
                 "wall_time_s": round(wall, 6),
             }
             if self.engine_aware:
-                from repro.faultsim.vectorsim import resolve_engine
-
-                # surface the engine that actually ran ("auto" resolves)
-                payload["engine"] = resolve_engine(args.engine)
+                payload["engine"] = args.engine
                 payload["workers"] = args.workers
                 stats = getattr(module, "LAST_CAMPAIGN_STATS", None)
                 if stats:
@@ -1147,8 +1121,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--empirical",
         action="store_true",
-        help="attach a measured fault-injection summary (packed campaign "
-        "on the row decoder)",
+        help="attach a measured fault-injection summary (campaign on the "
+        "row decoder)",
     )
     report.add_argument(
         "--empirical-cycles", type=int, default=256, metavar="CYCLES"
@@ -1254,15 +1228,13 @@ def build_parser() -> argparse.ArgumentParser:
     suite_run.add_argument(
         "suite", help="built-in suite name (see `suite ls`) or spec file"
     )
-    engine_group = suite_run.add_mutually_exclusive_group()
-    engine_group.add_argument(
+    suite_run.add_argument(
         "--engine",
         dest="engine_override",
         choices=ENGINE_CHOICES,
         default=None,
         help="override every cell's policy to this campaign engine",
     )
-    _add_engine_aliases(engine_group, "engine_override")
     suite_run.add_argument(
         "--workers",
         type=int,
@@ -1376,15 +1348,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run only the cells of one campaign family",
     )
-    submit_engine = submit.add_mutually_exclusive_group()
-    submit_engine.add_argument(
+    submit.add_argument(
         "--engine",
         dest="engine_override",
         choices=ENGINE_CHOICES,
         default=None,
         help="override every cell's policy to this campaign engine",
     )
-    _add_engine_aliases(submit_engine, "engine_override")
     submit.add_argument(
         "--no-cache",
         action="store_true",

@@ -16,8 +16,8 @@ trade-off-exploration hot path.
 
 ``evaluate(spec, empirical=True)`` additionally *measures* the analytic
 guarantees: an exhaustive stuck-at campaign on the built scheme's row
-checked decoder, driven by the packed engine of
-:mod:`repro.faultsim.fastsim`, attached to the report as
+checked decoder, driven by the vector engine of
+:mod:`repro.faultsim.vectorsim`, attached to the report as
 :class:`~repro.design.report.EmpiricalReport`.
 """
 
@@ -145,7 +145,7 @@ class DesignEngine:
         memory: Optional[SelfCheckingMemory] = None,
         cycles: int = 256,
         seed: int = DEFAULT_EMPIRICAL_SEED,
-        engine: str = "packed",
+        engine: str = "vector",
         workers: Optional[int] = None,
     ) -> EmpiricalReport:
         """Measure the guarantees by exhaustive row-decoder fault injection.
@@ -227,7 +227,7 @@ class DesignEngine:
         empirical: bool = False,
         empirical_cycles: int = 256,
         empirical_seed: int = DEFAULT_EMPIRICAL_SEED,
-        engine: str = "packed",
+        engine: str = "vector",
         workers: Optional[int] = None,
     ) -> DesignReport:
         """Size a spec and report guarantees, area and safety.
@@ -238,10 +238,12 @@ class DesignEngine:
 
         With a ``store`` configured on the engine, whole reports cache
         in the store's side table keyed on (spec, evaluation policy,
-        engine context): re-evaluating an unchanged spec — including
+        analytic context): re-evaluating an unchanged spec — including
         every spec of a repeated :meth:`sweep` — is served from disk.
         An explicit ``plan`` override bypasses the report cache (the
-        plan is an arbitrary object the key cannot capture).
+        plan is an arbitrary object the key cannot capture), and so does
+        an empirical evaluation on the serial oracle, which always
+        simulates.
         """
         report_key = None
         if self.store is not None and plan is None:
@@ -250,9 +252,8 @@ class DesignEngine:
                 empirical=empirical,
                 empirical_cycles=empirical_cycles,
                 empirical_seed=empirical_seed,
-                engine=engine,
             )
-            if self.cache:
+            if self.cache and not (empirical and engine == "serial"):
                 cached = self.store.get_report(report_key)
                 if cached is not None:
                     return DesignReport.from_dict(cached)
@@ -314,13 +315,14 @@ class DesignEngine:
         empirical: bool = False,
         empirical_cycles: int = 256,
         empirical_seed: int = DEFAULT_EMPIRICAL_SEED,
-        engine: str = "packed",
     ) -> str:
         """Content address of one evaluation: the spec, the evaluation
         policy and the engine's analytic context (area models, safety
         parameters) — everything a report's numbers depend on.  The
-        defaults mirror :meth:`evaluate`, so callers that key an
-        evaluation they ran with defaults get the same address."""
+        campaign engine is not part of it: vector and serial runs are
+        record-identical.  The defaults mirror :meth:`evaluate`, so
+        callers that key an evaluation they ran with defaults get the
+        same address."""
         from repro.results import campaign_key
 
         return campaign_key(
@@ -332,7 +334,6 @@ class DesignEngine:
                     "enabled": empirical,
                     "cycles": empirical_cycles,
                     "seed": empirical_seed,
-                    "engine": engine,
                 },
                 "context": {
                     "fault_rate_per_hour": self.fault_rate_per_hour,

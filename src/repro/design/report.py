@@ -106,7 +106,7 @@ class EmpiricalReport:
 
     Produced by ``DesignEngine.empirical`` (or ``evaluate(...,
     empirical=True)``): an exhaustive stuck-at campaign on the built
-    scheme's row checked decoder, run on the packed engine by default.
+    scheme's row checked decoder, run on the vector engine by default.
     """
 
     engine: str

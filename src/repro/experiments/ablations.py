@@ -65,7 +65,7 @@ def run_odd_a_ablation(
     k: int = 2,
     cycles: int = 300,
     seed: int = 3,
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,
@@ -166,7 +166,7 @@ def run_unordered_ablation(
     n_bits: int = 5,
     cycles: int = 300,
     seed: int = 11,
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,
@@ -223,7 +223,7 @@ LAST_CAMPAIGN_STATS: dict = {}
 
 
 def main(
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,

@@ -93,7 +93,7 @@ def run_decoder_style_experiment(
     n_bits: int = 6,
     cycles: int = 400,
     seed: int = 23,
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,
@@ -138,7 +138,7 @@ LAST_CAMPAIGN_STATS: dict = {}
 
 
 def main(
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,

@@ -6,7 +6,7 @@ experiment validates it by brute force: build a checked decoder, inject
 the measured survival function (fraction of faults still undetected after
 ``c`` cycles) against the analytic per-site predictions.
 
-The campaign runs on the packed engine by default (``engine="serial"``
+The campaign runs on the vector engine by default (``engine="serial"``
 selects the reference oracle, ``workers=N`` shards the fault list);
 wall time and faults/sec are recorded on the result and surfaced by the
 CLI's ``--json``.
@@ -52,8 +52,8 @@ class LatencyExperiment:
     analytic_worst_escape: float
     coverage: float
     zero_latency_sa0: bool
-    #: campaign engine ('packed' | 'serial') and its throughput
-    engine: str = "packed"
+    #: campaign engine ('vector' | 'serial') and its throughput
+    engine: str = "vector"
     faults: int = 0
     wall_time_s: float = 0.0
     faults_per_sec: float = 0.0
@@ -90,7 +90,7 @@ def run_latency_experiment(
     cycles: int = 400,
     seed: int = 7,
     checkpoints: List[int] = None,
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,
@@ -136,7 +136,7 @@ LAST_CAMPAIGN_STATS: Dict[str, object] = {}
 
 
 def main(
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,

@@ -10,7 +10,7 @@ write-triggered coupling in both address orders, while MATS+ (5N)
 provably misses the aggressor-above-victim CFid.
 
 Campaigns run through :meth:`repro.scenarios.CampaignEngine.march`
-(``engine="packed"`` compiles the march to read/write lane masks;
+(``engine="vector"`` compiles the march to read/write lane masks;
 ``engine="serial"`` replays per operation).
 
 Run: ``python -m repro.experiments.march_campaign``
@@ -120,7 +120,7 @@ MARCH_SUITE: Tuple[MarchTest, ...] = (
 
 
 def run_march_experiment(
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,
@@ -163,7 +163,7 @@ LAST_CAMPAIGN_STATS: Dict[str, object] = {}
 
 
 def generate_march_rows(
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,
@@ -176,7 +176,7 @@ def generate_march_rows(
 
 
 def main(
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,

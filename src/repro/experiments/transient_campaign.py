@@ -9,7 +9,7 @@ one word escaping the single parity bit entirely (error observed, never
 detected) — the known limit SEC-DED exists for.
 
 Campaigns run through :class:`repro.scenarios.CampaignEngine`
-(``engine="packed"`` default: upsets as time-varying lane masks;
+(``engine="vector"`` default: upsets as time-varying lane masks;
 ``engine="serial"`` is the per-cycle oracle).
 
 Run: ``python -m repro.experiments.transient_campaign``
@@ -91,7 +91,7 @@ def _scenarios() -> List[TransientScenario]:
 def run_transient_experiment(
     cycles: int = CYCLES,
     seed: int = SEED,
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,
@@ -156,7 +156,7 @@ LAST_CAMPAIGN_STATS: Dict[str, object] = {}
 
 
 def generate_transient_rows(
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,
@@ -169,7 +169,7 @@ def generate_transient_rows(
 
 
 def main(
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
     store=None,
     cache: bool = True,

@@ -1,14 +1,11 @@
 """Monte-Carlo fault-injection campaigns and their result statistics.
 
-Campaigns run on one of three engines (``engine=`` on the drivers):
-``"packed"`` — the default bit-parallel engine of
-:mod:`repro.faultsim.fastsim`, one netlist traversal per fault with
-structural fault collapsing and optional ``workers=N`` process-pool
-sharding; ``"vector"`` — the NumPy lane-array engine of
-:mod:`repro.faultsim.vectorsim`, which packs the fault axis into lanes
-too (optional ``repro[vector]`` extra; ``"auto"`` selects it when NumPy
-is importable); or ``"serial"``, the per-cycle reference oracle both
-fast engines are proven bit-identical against.
+Campaigns run on one of two engines (``engine=`` on the drivers):
+``"vector"`` — the default NumPy lane-array engine of
+:mod:`repro.faultsim.vectorsim`, which packs faults x cycles into lanes
+with structural fault collapsing and optional ``workers=N``
+process-pool sharding; or ``"serial"``, the per-cycle reference oracle
+the vector engine is proven bit-identical against.
 """
 
 from repro.faultsim.campaign import (
@@ -16,10 +13,6 @@ from repro.faultsim.campaign import (
     decoder_campaign,
     default_scheme_writer,
     scheme_campaign,
-)
-from repro.faultsim.fastsim import (
-    decoder_campaign_packed,
-    scheme_campaign_packed,
 )
 from repro.faultsim.injector import (
     burst_addresses,
@@ -38,9 +31,8 @@ from repro.faultsim.transient import (
 )
 from repro.faultsim.vectorsim import (
     CAMPAIGN_ENGINES,
+    check_engine,
     decoder_campaign_vector,
-    numpy_available,
-    resolve_engine,
     scheme_campaign_vector,
 )
 
@@ -50,13 +42,10 @@ __all__ = [
     "transient_campaign",
     "scrubbed_stream",
     "CAMPAIGN_ENGINES",
-    "numpy_available",
-    "resolve_engine",
+    "check_engine",
     "decoder_campaign",
-    "decoder_campaign_packed",
     "decoder_campaign_vector",
     "scheme_campaign",
-    "scheme_campaign_packed",
     "scheme_campaign_vector",
     "classify_structural_fault",
     "default_scheme_writer",

@@ -13,21 +13,15 @@ Both return :class:`~repro.faultsim.results.CampaignResult`, whose
 ``escape_fraction_at(c)`` is the empirical counterpart of the analytic
 ``Pndc`` — the X2 bench overlays the two.
 
-Three engines drive each campaign, selected with ``engine=``:
+Two engines drive each campaign, selected with ``engine=``:
 
-* ``"packed"`` (default) — the bit-parallel PPSFP-style engine of
-  :mod:`repro.faultsim.fastsim`: one packed netlist traversal per
-  simulated fault, collapsing on by default, optional ``workers=N``
+* ``"vector"`` (default) — the NumPy lane-array engine of
+  :mod:`repro.faultsim.vectorsim`: faults x cycles packed into lanes,
+  so the whole campaign is evaluated in a handful of array ops per
+  cycle window, collapsing on by default, optional ``workers=N``
   process pool;
-* ``"vector"`` — the NumPy lane-array engine of
-  :mod:`repro.faultsim.vectorsim`: the fault axis is packed into lanes
-  too, so the whole campaign is evaluated in a handful of array ops
-  (requires the optional ``repro[vector]`` extra);
 * ``"serial"`` — the original per-cycle loops below, kept as the
-  reference oracle both fast engines are proven bit-identical against.
-
-``engine="auto"`` picks ``"vector"`` when NumPy is importable and falls
-back to ``"packed"`` otherwise.
+  reference oracle the vector engine is proven bit-identical against.
 """
 
 from __future__ import annotations
@@ -39,7 +33,11 @@ from repro.circuits.faults import FaultBase, NetStuckAt
 from repro.core.scheme import SelfCheckingMemory
 from repro.decoder.analysis import analyze_decoder
 from repro.faultsim.results import CampaignResult, FaultRecord
-from repro.faultsim.vectorsim import resolve_engine
+from repro.faultsim.vectorsim import (
+    check_engine,
+    decoder_campaign_vector,
+    scheme_campaign_vector,
+)
 from repro.memory.faults import MemoryFault
 from repro.rom.nor_matrix import CheckedDecoder
 
@@ -85,7 +83,7 @@ def analytic_escapes(checked: CheckedDecoder) -> dict:
     """fault key -> per-cycle escape from the §III.2 site analysis.
 
     The one attachment table both campaign engines draw from, so the
-    serial oracle and the packed engine can never diverge on analytic
+    serial oracle and the vector engine can never diverge on analytic
     data.
     """
     analysis = analyze_decoder(checked.tree, checked.mapping)
@@ -102,7 +100,7 @@ def decoder_campaign(
     faults: Sequence[FaultBase],
     addresses: Union[Sequence[int], "object"],
     attach_analytic: bool = True,
-    engine: str = "packed",
+    engine: str = "vector",
     collapse: bool = True,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
@@ -120,34 +118,17 @@ def decoder_campaign(
 
     ``addresses`` may be a bare address sequence or any
     :class:`repro.scenarios.Workload` (its address-per-cycle view is
-    used).  ``engine="packed"`` (default) simulates the whole stream in
-    one netlist traversal per fault with collapsing (``collapse=False``
-    disables it), optional process-pool sharding (``workers=N``) and
-    optional bounded-memory lane windows (``chunk=W``; results
-    invariant in W); ``engine="vector"`` additionally packs the fault
-    axis into NumPy lanes (``repro[vector]``; ``"auto"`` selects it
-    when NumPy is importable); ``engine="serial"`` runs the per-cycle
+    used).  ``engine="vector"`` (default) evaluates the whole collapsed
+    fault list per cycle window in NumPy lanes, with collapsing
+    (``collapse=False`` disables it), optional process-pool sharding
+    (``workers=N``) and bounded-memory lane windows (``chunk=W``;
+    results invariant in W); ``engine="serial"`` runs the per-cycle
     reference loop.
     """
-    engine = resolve_engine(engine)
+    engine = check_engine(engine)
     addresses = _address_stream(addresses)
     if engine == "vector":
-        from repro.faultsim.vectorsim import decoder_campaign_vector
-
         return decoder_campaign_vector(
-            checked,
-            checker,
-            faults,
-            addresses,
-            attach_analytic=attach_analytic,
-            collapse=collapse,
-            workers=workers,
-            chunk=chunk,
-        )
-    if engine == "packed":
-        from repro.faultsim.fastsim import decoder_campaign_packed
-
-        return decoder_campaign_packed(
             checked,
             checker,
             faults,
@@ -210,7 +191,7 @@ def scheme_campaign(
     column_faults: Iterable[FaultBase] = (),
     memory_faults: Iterable[MemoryFault] = (),
     writer: Optional[Callable[[SelfCheckingMemory], None]] = None,
-    engine: str = "packed",
+    engine: str = "vector",
     collapse: bool = True,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
@@ -221,18 +202,16 @@ def scheme_campaign(
     :func:`default_scheme_writer`, an address-dependent pattern so decoder
     aliasing is observable in the data path too).
 
-    ``engine``/``collapse``/``workers`` select a fast path as in
-    :func:`decoder_campaign` (``"vector"`` evaluates the whole collapsed
-    fault list per cycle window in one NumPy traversal and honours
-    ``chunk=W`` bounded-memory windows); ``engine="serial"`` is the
-    per-cycle reference oracle.  ``addresses`` accepts a bare sequence
-    or a :class:`repro.scenarios.Workload`.
+    ``engine``/``collapse``/``workers``/``chunk`` act as in
+    :func:`decoder_campaign`: ``"vector"`` evaluates the whole
+    collapsed fault list per cycle window in one NumPy traversal;
+    ``engine="serial"`` is the per-cycle reference oracle.
+    ``addresses`` accepts a bare sequence or a
+    :class:`repro.scenarios.Workload`.
     """
-    engine = resolve_engine(engine)
+    engine = check_engine(engine)
     addresses = _address_stream(addresses)
     if engine == "vector":
-        from repro.faultsim.vectorsim import scheme_campaign_vector
-
         return scheme_campaign_vector(
             memory,
             addresses,
@@ -243,19 +222,6 @@ def scheme_campaign(
             collapse=collapse,
             workers=workers,
             chunk=chunk,
-        )
-    if engine == "packed":
-        from repro.faultsim.fastsim import scheme_campaign_packed
-
-        return scheme_campaign_packed(
-            memory,
-            addresses,
-            row_faults=row_faults,
-            column_faults=column_faults,
-            memory_faults=memory_faults,
-            writer=writer,
-            collapse=collapse,
-            workers=workers,
         )
 
     fill = writer or default_scheme_writer

@@ -52,7 +52,7 @@ class CampaignResult(RecordStatistics):
 
     records: List[FaultRecord] = field(default_factory=list)
     cycles_simulated: int = 0
-    #: which engine produced the records ('serial' | 'packed');
+    #: which engine produced the records ('vector' | 'serial');
     #: None for hand-assembled results
     engine: Optional[str] = None
     #: stamped by CampaignEngine runs (1.4+): what produced the records

@@ -88,7 +88,7 @@ def transient_campaign(
     ram: BehavioralRAM,
     upsets: Sequence[TransientUpset],
     addresses: Sequence[int],
-    engine: str = "packed",
+    engine: str = "vector",
     workers: Optional[int] = None,
 ) -> List[TransientResult]:
     """Replay the address stream once per upset, flipping the victim bit
@@ -98,10 +98,10 @@ def transient_campaign(
     words so every stored word is a parity code word.  Shim over
     :meth:`repro.scenarios.CampaignEngine.transient` (one single-upset
     scenario per entry); ``engine="serial"`` selects the per-cycle
-    oracle the packed default is proven bit-identical to.
+    oracle the lane-mask default is proven bit-identical to.
 
     Behaviour change in 1.3: a RAM with pre-injected behavioural
-    faults is refused (``ValueError``) — the packed backend cannot
+    faults is refused (``ValueError``) — the lane-mask backend cannot
     honour them.  Clear the faults and model them as scenarios in a
     :meth:`~repro.scenarios.CampaignEngine.scheme` or
     :meth:`~repro.scenarios.CampaignEngine.march` campaign instead.

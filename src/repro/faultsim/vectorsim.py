@@ -1,105 +1,151 @@
-"""NumPy lane-array campaign engine (``engine="vector"``).
+"""NumPy lane-array campaign engine — the one fast path.
 
-The packed engine (:mod:`repro.faultsim.fastsim`) bit-parallelises the
-*cycle* axis into Python bigints but still runs one netlist traversal
-per fault — per-fault Python dispatch is the measured ceiling on scheme
-campaigns (~4x vs 58-90x on decoder benches).  This module packs the
-**fault axis too**: every net carries a ``(faults, cycle_words)``
-``uint64`` lane matrix, each gate is evaluated once for the whole
-campaign as NumPy bitwise ops broadcast over the fault axis (golden row
-+ per-fault forcing masks from the collapsed fault list), and the
-packed checkers become array reductions — carry-save popcount for
-m-out-of-n/Berger, XOR folds for parity/two-rail.  ``first_error`` /
-``first_detection`` are recovered per fault with vectorized
-trailing-bit arithmetic; there is no per-fault Python in the hot path.
+Every net carries a ``(faults, cycle_words)`` ``uint64`` lane matrix:
+lane ``k`` of a row is cycle ``k`` and row ``f`` is fault ``f``.  Each
+gate is evaluated once per fault batch as NumPy bitwise ops broadcast
+over the fault axis (golden row + per-fault forcing masks from the
+collapsed fault list), and the checkers become array reductions —
+carry-save popcount for m-out-of-n/Berger, XOR folds for
+parity/two-rail.  ``first_error`` / ``first_detection`` are recovered
+per fault with vectorized trailing-bit arithmetic; there is no
+per-fault Python in the hot path.
 
-Campaigns run in bounded-memory cycle windows (``chunk`` lanes wide,
-:data:`DEFAULT_WINDOW` when unset): faults detected in an early window
-drop out of later ones, mirroring the serial loop's per-fault ``break``,
-and results are invariant in the window width (property-tested).  The
-serial loops and the bigint packed engine remain the bit-identity
-oracles; record-by-record equality across all three engines is part of
-the test suite.
+Memory is bounded on both axes.  Campaigns run in cycle windows
+(``chunk`` lanes wide, :data:`DEFAULT_WINDOW` when unset): faults
+detected in an early window drop out of later ones, mirroring the
+serial loop's per-fault ``break``.  Within a window, faults run in
+batches whose live lane matrices hold about :data:`LIVE_WORDS` words.
+Results are invariant in both sizes (property-tested).  The serial
+loops of :mod:`repro.faultsim.campaign` are the bit-identity oracle;
+record-by-record equality is part of the test suite.
 
-NumPy is an *optional* dependency (``pip install repro[vector]``): this
-module imports without it, ``engine="vector"`` raises a one-line
-actionable error when it is missing, and ``engine="auto"`` resolves to
-``"vector"`` when NumPy is importable and falls back to ``"packed"``
-otherwise.
+Structural fault collapsing (:func:`_fault_groups`) and process-pool
+sharding (:func:`_map_jobs`) live here too; the transient and march
+backends of :class:`repro.scenarios.CampaignEngine` shard through the
+same helper.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from concurrent import futures
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # NumPy is the optional repro[vector] extra
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
+import numpy as np
 
 from repro.checkers.base import Checker
 from repro.checkers.berger_checker import BergerChecker
 from repro.checkers.m_out_of_n_checker import MOutOfNChecker
 from repro.checkers.parity_checker import ParityChecker
 from repro.checkers.two_rail_checker import TwoRailChecker
-from repro.circuits.faults import FaultBase, NetStuckAt
+from repro.circuits.equivalence import collapse_faults
+from repro.circuits.faults import FaultBase, NetStuckAt, PinStuckAt
 from repro.circuits.gates import GateType
 from repro.core.scheme import SelfCheckingMemory
-from repro.faultsim.fastsim import _fault_groups, _map_jobs
 from repro.faultsim.results import CampaignResult, FaultRecord
 from repro.rom.nor_matrix import CheckedDecoder
 
 __all__ = [
     "CAMPAIGN_ENGINES",
     "DEFAULT_WINDOW",
-    "numpy_available",
-    "require_numpy",
-    "resolve_engine",
+    "check_engine",
     "decoder_campaign_vector",
     "scheme_campaign_vector",
 ]
 
-#: engine policies accepted by the campaign layer (the circuit-level
-#: drivers in :mod:`repro.circuits.simulator` stay packed/serial)
-CAMPAIGN_ENGINES = ("packed", "serial", "vector", "auto")
+#: engine policies accepted by the campaign layer: the fast path and
+#: the serial oracle (the circuit-level drivers in
+#: :mod:`repro.circuits.simulator` keep their own packed/serial pair)
+CAMPAIGN_ENGINES = ("vector", "serial")
 
 #: default bounded-memory cycle-window width (lanes) for the vector
 #: engine — per-net lane matrices stay (faults x DEFAULT_WINDOW/64)
 #: words however long the stream is; results are invariant in the width
 DEFAULT_WINDOW = 8192
 
-
-def numpy_available() -> bool:
-    """True iff the optional NumPy dependency is importable."""
-    return np is not None
-
-
-def require_numpy() -> None:
-    """Raise the one-line actionable error when NumPy is missing."""
-    if np is None:
-        raise RuntimeError(
-            "engine='vector' needs NumPy: pip install 'repro[vector]' "
-            "(or keep engine='packed', the pure-Python fast path)"
-        )
+#: live lane budget (uint64 words) of one fault batch: a window's
+#: faults are evaluated in batches whose simultaneously live nets hold
+#: about this many words, so peak memory stays bounded however many
+#: faults a campaign has; results are invariant in the batch size
+LIVE_WORDS = 1 << 17
 
 
-def resolve_engine(engine: str) -> str:
-    """Validate a campaign engine policy and resolve ``"auto"``.
-
-    ``"auto"`` becomes ``"vector"`` when NumPy is importable and falls
-    back to ``"packed"`` otherwise; ``"vector"`` without NumPy raises
-    immediately with the install hint.  Returns the resolved engine
-    (one of ``"packed" | "serial" | "vector"``).
-    """
+def check_engine(engine: str) -> str:
+    """Validate a campaign engine policy; returns it unchanged."""
     if engine not in CAMPAIGN_ENGINES:
         raise ValueError(
             f"engine must be one of {CAMPAIGN_ENGINES}, got {engine!r}"
         )
-    if engine == "auto":
-        return "vector" if numpy_available() else "packed"
-    if engine == "vector":
-        require_numpy()
     return engine
+
+
+# -- fault collapsing --------------------------------------------------------
+
+
+def _fault_groups(
+    circuit, faults: Sequence[FaultBase], collapse: bool
+) -> Tuple[List[FaultBase], Dict[Tuple, int]]:
+    """(representatives, fault key -> representative index).
+
+    With ``collapse`` the stuck-at faults are partitioned into
+    structural equivalence classes and only the class representative is
+    simulated; faults the collapser does not model (custom
+    :class:`FaultBase` subclasses) become singleton groups.
+    """
+    reps: List[FaultBase] = []
+    key_to_group: Dict[Tuple, int] = {}
+    if collapse and len(faults) > 1:
+        known = [
+            f for f in faults if isinstance(f, (NetStuckAt, PinStuckAt))
+        ]
+        if known:
+            for cls in collapse_faults(circuit, known).classes:
+                gid = len(reps)
+                reps.append(cls[0])
+                for member in cls:
+                    key_to_group[member.key()] = gid
+    for fault in faults:
+        if fault.key() not in key_to_group:
+            key_to_group[fault.key()] = len(reps)
+            reps.append(fault)
+    return reps, key_to_group
+
+
+# -- process-pool sharding ---------------------------------------------------
+
+
+def _chunk(items: List, parts: int) -> List[List]:
+    parts = min(parts, len(items))
+    size, extra = divmod(len(items), parts)
+    chunks, start = [], 0
+    for i in range(parts):
+        end = start + size + (1 if i < extra else 0)
+        chunks.append(items[start:end])
+        start = end
+    return chunks
+
+
+def _map_jobs(worker, context, jobs: List, workers: Optional[int]) -> List:
+    """``worker((context, chunk))`` over chunks of ``jobs``, in order.
+
+    In-process by default; ``workers=N`` fans contiguous chunks out
+    over a process pool (one pickled context per worker, mirroring the
+    ``DesignEngine.sweep`` executor pattern).
+    """
+    if not jobs:
+        return []
+    if workers is None or workers <= 1 or len(jobs) == 1:
+        return worker((context, jobs))
+    chunks = _chunk(jobs, workers)
+    with futures.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = pool.map(
+            worker, [(context, chunk) for chunk in chunks]
+        )
+        out: List = []
+        for part in parts:
+            out.extend(part)
+    return out
 
 
 # -- lane packing helpers ----------------------------------------------------
@@ -190,9 +236,9 @@ def _first_set_lanes(words):
 def _mask_through_lane(words, lanes):
     """Keep only lane bits <= ``lanes[f]`` per row (-1 keeps all).
 
-    The vector form of the packed engine's
-    ``err &= (1 << (first_detection + 1)) - 1`` — the serial loop breaks
-    after detection, so later errors are never observed.
+    The vector form of ``err &= (1 << (first_detection + 1)) - 1`` —
+    the serial loop breaks after detection, so later errors are never
+    observed.
     """
     full = np.uint64(0xFFFFFFFFFFFFFFFF)
     width = words.shape[1]
@@ -212,148 +258,309 @@ def _mask_through_lane(words, lanes):
 # -- vectorized circuit evaluation -------------------------------------------
 
 
-class _VectorCircuit:
-    """One circuit over a (faults x cycle-words) uint64 lane matrix.
+#: fan-in from which an associative gate folds each input in as soon as
+#: it is produced (the ROM columns read hundreds of word lines)
+_WIDE_FANIN = 3
 
-    The golden (fault-free) pass runs once on (W,) rows; a fault pass
-    broadcasts the golden row over the fault axis and applies per-fault
-    forcing masks from ``fault.register`` — every gate is then evaluated
-    once for the whole campaign with NumPy bitwise ops.  Per-lane gate
-    semantics are identical to
-    :func:`repro.circuits.parallel.packed_gate_word`.
+#: the NumPy fold of each associative gate type; the inverting types
+#: negate the folded word once, at the end
+_FOLDS = {
+    GateType.AND: np.bitwise_and,
+    GateType.NAND: np.bitwise_and,
+    GateType.OR: np.bitwise_or,
+    GateType.NOR: np.bitwise_or,
+    GateType.XOR: np.bitwise_xor,
+    GateType.XNOR: np.bitwise_xor,
+}
+_INVERTING = (GateType.NAND, GateType.NOR, GateType.XNOR)
+
+
+def _gate_word(gate_type, ins, mask):
+    """Lane words of a gate with no NumPy fold: NOT, BUF, the constants
+    and input-less associative gates (their identity)."""
+    if gate_type is GateType.NOT:
+        return ~ins[0] & mask
+    if gate_type is GateType.BUF:
+        return ins[0]
+    ones = gate_type in (GateType.CONST1, GateType.AND, GateType.NAND)
+    word = mask.copy() if ones else np.zeros_like(mask)
+    return ~word & mask if gate_type in _INVERTING else word
+
+
+def _apply(step, ins, mask):
+    """One gate's lane words from its input lane words (the per-lane
+    semantics of :func:`repro.circuits.parallel.packed_gate_word`)."""
+    gate, fold, invert, _ = step
+    if fold is None:
+        return _gate_word(gate.gate_type, ins, mask)
+    word = ins[0]
+    for other in ins[1:]:
+        word = fold(word, other)
+    return ~word & mask if invert else word
+
+
+def _low_pressure_order(circuit, wide: Sequence[bool]) -> List[int]:
+    """Gate indices in a topological order that keeps few nets live.
+
+    Greedy list scheduling: of the gates whose inputs are all produced,
+    run the one that frees the most nets (it is their last reader),
+    less one if its own output must be held, the most recently readied
+    first; this never reorders any gate before its inputs.  A decoder
+    tree then finishes the readers of each low-range line before it
+    builds the next one, instead of holding a whole level.  ``wide``
+    gates fold their inputs as they come, so they hold no net and run
+    as soon as they are ready.
+    """
+    gates = circuit.gates
+    inputs = [tuple(set(gate.inputs)) for gate in gates]
+    readers: List[List[int]] = [[] for _ in range(circuit.num_nets)]
+    # unscheduled narrow readers per net: the live-width currency
+    left = [0] * circuit.num_nets
+    for index, nets in enumerate(inputs):
+        for src in nets:
+            readers[src].append(index)
+            left[src] += not wide[index]
+    creates = [left[gate.output] > 0 for gate in gates]
+    waiting = [len(nets) for nets in inputs]
+    done = [False] * len(gates)
+    heap: List[Tuple[int, int, int]] = []
+    stamp = itertools.count()
+
+    def push(index: int) -> None:
+        if wide[index]:
+            score = len(gates)
+        else:
+            score = -creates[index]
+            for src in inputs[index]:
+                score += left[src] == 1
+        heapq.heappush(heap, (-score, -next(stamp), index))
+
+    def produced(net: int) -> None:
+        for index in readers[net]:
+            waiting[index] -= 1
+            if not waiting[index]:
+                push(index)
+
+    for index, nets in enumerate(inputs):
+        if not nets:
+            push(index)
+    for net in circuit.input_nets:
+        produced(net)
+    order: List[int] = []
+    while heap:
+        index = heapq.heappop(heap)[2]
+        if done[index]:
+            continue  # an earlier, higher-scored copy already ran
+        done[index] = True
+        order.append(index)
+        if not wide[index]:
+            for src in inputs[index]:
+                left[src] -= 1
+                if left[src] == 1:  # its last reader now frees it
+                    for other in readers[src]:
+                        if not (done[other] or waiting[other] or wide[other]):
+                            push(other)
+        produced(gates[index].output)
+    return order
+
+
+class _VectorCircuit:
+    """One circuit over (faults x cycle-words) uint64 lane matrices.
+
+    Built once per campaign.  :meth:`golden` runs the fault-free pass of
+    one cycle window on (W,) rows; :meth:`evaluate` applies per-fault
+    forcing masks from ``fault.register`` and evaluates every gate once
+    for a whole batch of faults with NumPy bitwise ops.  A net no fault
+    of the batch reaches keeps its (W,) golden row, which costs nothing
+    to compute and broadcasts on use.
+
+    Peak memory follows the circuit's live width, not its size: gates
+    run in an order that keeps that width small
+    (:func:`_low_pressure_order`), every net is freed after its last
+    reader, outputs go to a callback as soon as they are final instead
+    of being held, wide associative gates (the ROM columns) fold each
+    input in as it is produced, and faults run in batches sized so the
+    live nets and open folds hold about :data:`LIVE_WORDS` words.  The
+    narrower the circuit, the more faults share one traversal.
     """
 
-    def __init__(self, circuit, packed_inputs, lane_mask):
+    def __init__(self, circuit):
         self.circuit = circuit
-        self.mask = lane_mask
-        values = [None] * circuit.num_nets
-        for net, word in zip(circuit.input_nets, packed_inputs):
-            values[net] = word
-        for gate in circuit.gates:
-            values[gate.output] = self._gate_word(
-                gate.gate_type, [values[src] for src in gate.inputs]
+        wide = [
+            len(gate.inputs) >= _WIDE_FANIN and gate.gate_type in _FOLDS
+            for gate in circuit.gates
+        ]
+        #: (gate, NumPy fold or None, inverting, wide) per gate, in an
+        #: evaluation order that keeps the live width small
+        self.steps = [
+            (
+                gate,
+                _FOLDS.get(gate.gate_type) if gate.inputs else None,
+                gate.gate_type in _INVERTING,
+                wide[gate.index],
             )
-        self.golden_values = values
+            for gate in (
+                circuit.gates[index]
+                for index in _low_pressure_order(circuit, wide)
+            )
+        ]
+        #: per net: the (wide gate, pin) pairs it folds into, and how
+        #: many other gate inputs read it
+        self.folds: List[List[Tuple[int, int]]] = [
+            [] for _ in range(circuit.num_nets)
+        ]
+        self.reads = [0] * circuit.num_nets
+        for gate, _, _, wide in self.steps:
+            for pin, src in enumerate(gate.inputs):
+                if wide:
+                    self.folds[src].append((gate.index, pin))
+                else:
+                    self.reads[src] += 1
+        self.outputs = set(circuit.output_nets)
+        #: most nets held at once by :meth:`evaluate` (sizes batches)
+        self.live = self._live_width()
 
-    def _gate_word(self, gate_type, ins):
-        mask = self.mask
-        if gate_type is GateType.AND or gate_type is GateType.NAND:
-            if ins:
-                acc = ins[0]
-                for word in ins[1:]:
-                    acc = acc & word
+    def _live_width(self) -> int:
+        """Most fault-batch matrices :meth:`evaluate` holds at once: the
+        nets still to be read plus the open folds of wide gates."""
+        reads = self.reads[:]
+        folding = set()  # wide gates with a fold in progress
+        held = 0
+        for net in self.circuit.input_nets:
+            folding.update(index for index, _ in self.folds[net])
+            held += bool(reads[net])
+        peak = held + len(folding)
+        for gate, _, _, wide in self.steps:
+            if wide:
+                folding.discard(gate.index)
             else:
-                acc = mask
-            if gate_type is GateType.NAND:
-                acc = ~acc & mask
-        elif gate_type is GateType.OR or gate_type is GateType.NOR:
-            if ins:
-                acc = ins[0]
-                for word in ins[1:]:
-                    acc = acc | word
-            else:
-                acc = np.zeros_like(mask)
-            if gate_type is GateType.NOR:
-                acc = ~acc & mask
-        elif gate_type is GateType.XOR or gate_type is GateType.XNOR:
-            if ins:
-                acc = ins[0]
-                for word in ins[1:]:
-                    acc = acc ^ word
-            else:
-                acc = np.zeros_like(mask)
-            if gate_type is GateType.XNOR:
-                acc = ~acc & mask
-        elif gate_type is GateType.NOT:
-            acc = ~ins[0] & mask
-        elif gate_type is GateType.BUF:
-            acc = ins[0]
-        elif gate_type is GateType.CONST0:
-            acc = np.zeros_like(mask)
-        else:  # CONST1
-            acc = mask.copy()
-        return acc
+                for src in gate.inputs:
+                    reads[src] -= 1
+                    held -= not reads[src]
+            folding.update(index for index, _ in self.folds[gate.output])
+            held += bool(reads[gate.output])
+            peak = max(peak, held + len(folding))
+        return max(peak, 1)
 
-    def outputs_with_faults(self, reps: Sequence[FaultBase]) -> Dict:
-        """net -> (F, W) lane matrix for every output net, all faults.
+    def golden(self, packed_inputs, mask) -> List:
+        """Fault-free (W,) lane row of every net for one window: views
+        into one (nets, W) table, so a window costs one allocation."""
+        values = list(
+            np.empty((self.circuit.num_nets,) + mask.shape, dtype=np.uint64)
+        )
+        for net, word in zip(self.circuit.input_nets, packed_inputs):
+            values[net][...] = word
+        for step in self.steps:
+            gate = step[0]
+            values[gate.output][...] = _apply(
+                step, [values[src] for src in gate.inputs], mask
+            )
+        return values
 
-        Non-output nets are freed as soon as their last reader has
-        consumed them, so peak memory tracks the live width of the
-        circuit rather than its total net count.
-        """
-        circuit = self.circuit
-        mask = self.mask
-        count = len(reps)
-        shape = (count,) + mask.shape
+    def batches(self, count: int, words: int) -> List[slice]:
+        """Slices of a ``count``-fault list whose batches keep about
+        :data:`LIVE_WORDS` words live in :meth:`evaluate`."""
+        step = max(1, LIVE_WORDS // (self.live * words))
+        return [slice(start, start + step) for start in range(0, count, step)]
 
-        net_ones: Dict[int, List[int]] = {}
-        net_zeros: Dict[int, List[int]] = {}
-        pin_ones: Dict[Tuple[int, int], List[int]] = {}
-        pin_zeros: Dict[Tuple[int, int], List[int]] = {}
+    def evaluate(self, golden, reps: Sequence[FaultBase], mask, consume):
+        """Run every fault of ``reps`` at once over one window;
+        ``consume(net, rows)`` receives each output net's lane words
+        once they are final: an (F, W) matrix (row ``f`` = fault
+        ``reps[f]``), or the (W,) golden row when no fault reaches the
+        net."""
+        shape = (len(reps),) + mask.shape
+        # fault rows forced per net / (gate, pin): ([to 0], [to 1])
+        net_forces: Dict[int, Tuple[List[int], List[int]]] = {}
+        pin_forces: Dict[Tuple[int, int], Tuple[List[int], List[int]]] = {}
         for index, fault in enumerate(reps):
             nets: Dict[int, int] = {}
             pins: Dict[Tuple[int, int], int] = {}
             fault.register(nets, pins)
             for net, forced in nets.items():
-                target = net_ones if forced else net_zeros
-                target.setdefault(net, []).append(index)
+                net_forces.setdefault(net, ([], []))[forced].append(index)
             for key, forced in pins.items():
-                target = pin_ones if forced else pin_zeros
-                target.setdefault(key, []).append(index)
+                pin_forces.setdefault(key, ([], []))[forced].append(index)
+        pinned_gates = {gate for gate, _ in pin_forces}
 
-        refs = [0] * circuit.num_nets
-        for gate in circuit.gates:
-            for src in gate.inputs:
-                refs[src] += 1
-        keep = set(circuit.output_nets)
-
-        def forced_copy(net, base):
-            rows = np.array(np.broadcast_to(base, shape))
-            if net in net_ones:
-                rows[net_ones[net]] = mask
-            if net in net_zeros:
-                rows[net_zeros[net]] = np.uint64(0)
+        def force(word, forces):
+            if forces is None:
+                return word
+            rows = np.empty(shape, dtype=np.uint64)
+            rows[...] = word
+            rows[forces[0]] = 0
+            rows[forces[1]] = mask
             return rows
 
-        values: List = [None] * circuit.num_nets
-        for net in circuit.input_nets:
-            base = self.golden_values[net]
-            if net in net_ones or net in net_zeros:
-                values[net] = forced_copy(net, base)
+        values: List = [None] * self.circuit.num_nets
+        reads = self.reads[:]
+        # wide gate -> [fold of its golden (W,) inputs, fold of the rest]
+        partial: Dict[int, List] = {}
+        folds = self.folds
+        outputs = self.outputs
+
+        def produce(net, word):
+            if net in net_forces:
+                word = force(word, net_forces[net])
+            for gate_index, pin in folds[net]:
+                pinned = word
+                if pin_forces:
+                    pinned = force(word, pin_forces.get((gate_index, pin)))
+                slot = partial.setdefault(gate_index, [None, None])
+                side = pinned.ndim - 1
+                if slot[side] is None:
+                    slot[side] = pinned.copy()
+                else:
+                    fold_of[gate_index](slot[side], pinned, out=slot[side])
+            if net in outputs:
+                consume(net, word)
+            if reads[net]:
+                values[net] = word
+
+        fold_of = {step[0].index: step[1] for step in self.steps if step[3]}
+        for net in self.circuit.input_nets:
+            produce(net, golden[net])
+        for step in self.steps:
+            gate, fold, invert, wide = step
+            if wide:
+                clean, word = partial.pop(gate.index)
+                if word is None:
+                    word = golden[gate.output]
+                else:
+                    if clean is not None:
+                        fold(word, clean, out=word)
+                    if invert:
+                        word = ~word & mask
             else:
-                values[net] = np.broadcast_to(base, shape)
-
-        for gate in circuit.gates:
-            ins = []
-            for pin, src in enumerate(gate.inputs):
-                word = values[src]
-                key = (gate.index, pin)
-                if key in pin_ones or key in pin_zeros:
-                    word = np.array(np.broadcast_to(word, shape))
-                    if key in pin_ones:
-                        word[pin_ones[key]] = mask
-                    if key in pin_zeros:
-                        word[pin_zeros[key]] = np.uint64(0)
-                ins.append(word)
-            acc = self._gate_word(gate.gate_type, ins)
-            output = gate.output
-            if output in net_ones or output in net_zeros:
-                acc = forced_copy(output, acc)
-            values[output] = acc
-            for src in gate.inputs:
-                refs[src] -= 1
-                if refs[src] == 0 and src not in keep:
-                    values[src] = None
-        out = {}
-        for net in circuit.output_nets:
-            word = values[net]
-            if word.shape != shape:
-                word = np.broadcast_to(word, shape)
-            out[net] = word
-        return out
+                if gate.index in pinned_gates:
+                    word = _apply(
+                        step,
+                        [
+                            force(
+                                values[src],
+                                pin_forces.get((gate.index, pin)),
+                            )
+                            for pin, src in enumerate(gate.inputs)
+                        ],
+                        mask,
+                    )
+                else:
+                    ins = [values[src] for src in gate.inputs]
+                    if any(
+                        value is not golden[src]
+                        for value, src in zip(ins, gate.inputs)
+                    ):
+                        word = _apply(step, ins, mask)
+                    else:  # no fault of the batch reaches this gate
+                        word = golden[gate.output]
+                for src in gate.inputs:
+                    reads[src] -= 1
+                    if not reads[src]:
+                        values[src] = None
+            produce(gate.output, word)
 
 
-# -- vectorized packed checkers ----------------------------------------------
+# -- vectorized checkers -----------------------------------------------------
 
 
 def _popcount_slices(columns, mask):
@@ -390,7 +597,8 @@ def _accepts_lanes(checker: Checker, columns, mask, num_lanes: int):
     The built-in checkers map to array reductions mirroring their
     ``accepts_packed`` bit tricks exactly; plugin checkers fall back to
     per-fault bigint conversion and defer to ``accepts_packed`` (the
-    same escape hatch the packed engine uses for plugin codes).
+    escape hatch :class:`~repro.checkers.base.Checker` gives every
+    plugin code).
     """
     shape = columns[0].shape
     if isinstance(checker, MOutOfNChecker):
@@ -441,53 +649,65 @@ def _pack_values(values, n_bits: int):
 
 
 def _decoder_window(
-    checked: CheckedDecoder, checker: Checker, window, reps
+    checked: CheckedDecoder, sim: _VectorCircuit, checker: Checker,
+    window, reps,
 ):
     """(first_error, first_detection) int64 arrays for one lane window.
 
-    One vectorized traversal for every representative fault at once:
-    ``err`` ORs the per-line mismatch against the ideal one-hot words,
-    ``acc`` is the vector checker over the ROM columns, and the error
-    word is truncated at the first detection exactly as the packed and
-    serial engines do.
+    One vectorized traversal per fault batch: ``err`` ORs the per-line
+    mismatch against the ideal one-hot words as each word line is
+    produced, ``acc`` is the vector checker over the ROM columns, and
+    the error word is truncated at the first detection exactly as the
+    serial loop does.
     """
     lanes = len(window)
     mask = _lane_mask(lanes)
     addresses = np.asarray(window, dtype=np.int64)
-    sim = _VectorCircuit(
-        checked.circuit, _pack_values(addresses, checked.n), mask
-    )
+    golden = sim.golden(_pack_values(addresses, checked.n), mask)
     num_lines = 1 << checked.n
     outputs = checked.circuit.output_nets
-    line_nets = outputs[:num_lines]
-    rom_nets = outputs[num_lines:]
-    values = sim.outputs_with_faults(reps)
-
-    one_hot = addresses[None, :] == np.arange(num_lines)[:, None]
-    golden_lines = _pack_bool(one_hot)
-    err = np.zeros((len(reps),) + mask.shape, dtype=np.uint64)
-    for index, net in enumerate(line_nets):
-        err |= values[net] ^ golden_lines[index][None, :]
-
-    acc = _accepts_lanes(
-        checker, [values[net] for net in rom_nets], mask, lanes
+    line_of = {net: line for line, net in enumerate(outputs[:num_lines])}
+    # ideal one-hot words: lane k of line a is set iff window[k] == a
+    lane = np.arange(lanes)
+    ideal = np.zeros((num_lines,) + mask.shape, dtype=np.uint64)
+    np.bitwise_or.at(
+        ideal,
+        (addresses, lane // 64),
+        np.left_shift(np.uint64(1), (lane % 64).astype(np.uint64)),
     )
-    detection = _first_set_lanes(~acc & mask)
-    err = _mask_through_lane(err, detection)
-    return _first_set_lanes(err), detection
+    errs, dets = [], []
+    for part in sim.batches(len(reps), mask.shape[0]):
+        shape = (len(reps[part]),) + mask.shape
+        err = np.zeros(shape, dtype=np.uint64)
+        rom: Dict[int, object] = {}
+
+        def consume(net, rows):
+            line = line_of.get(net)
+            if line is None:
+                rom[net] = np.broadcast_to(rows, shape)
+            else:
+                np.bitwise_or(err, rows ^ ideal[line], out=err)
+
+        sim.evaluate(golden, reps[part], mask, consume)
+        acc = _accepts_lanes(
+            checker, [rom[net] for net in outputs[num_lines:]], mask, lanes
+        )
+        detection = _first_set_lanes(~acc & mask)
+        errs.append(_first_set_lanes(_mask_through_lane(err, detection)))
+        dets.append(detection)
+    return np.concatenate(errs), np.concatenate(dets)
 
 
 def _vector_decoder_worker(payload):
     """Windowed (first_error, first_detection) per representative fault.
 
-    Mirrors :func:`repro.faultsim.fastsim._decoder_worker` — faults
-    whose detection lands in an early window drop out of later ones —
-    but evaluates every surviving fault of a window in one vectorized
-    pass.  ``chunk=None`` uses :data:`DEFAULT_WINDOW`, so memory stays
-    bounded however long the stream is.
+    Faults whose detection lands in an early window drop out of later
+    ones, and every surviving fault of a window is evaluated in one
+    vectorized pass.  ``chunk=None`` uses :data:`DEFAULT_WINDOW`, so
+    memory stays bounded however long the stream is.
     """
     (checked, checker, addresses, chunk), reps = payload
-    require_numpy()
+    sim = _VectorCircuit(checked.circuit)
     step = DEFAULT_WINDOW if chunk is None else chunk
     outcomes: List[List[Optional[int]]] = [[None, None] for _ in reps]
     active = list(range(len(reps)))
@@ -495,7 +715,7 @@ def _vector_decoder_worker(payload):
     for start in range(0, len(addresses), step):
         window = addresses[start : start + step]
         errs, dets = _decoder_window(
-            checked, checker, window, [reps[i] for i in active]
+            checked, sim, checker, window, [reps[i] for i in active]
         )
         survivors = []
         for pos, index in enumerate(active):
@@ -525,7 +745,7 @@ def decoder_campaign_vector(
 ) -> CampaignResult:
     """Vector counterpart of :func:`repro.faultsim.campaign.decoder_campaign`.
 
-    Bit-identical records to the packed and serial engines; the whole
+    Bit-identical records to the serial oracle; the whole
     collapsed fault list is evaluated per cycle window in one NumPy
     traversal.  ``workers=N`` shards representatives over a process
     pool; ``chunk=W`` sets the bounded-memory window width
@@ -536,7 +756,6 @@ def decoder_campaign_vector(
         classify_structural_fault,
     )
 
-    require_numpy()
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be >= 1 lanes, got {chunk}")
 
@@ -582,7 +801,7 @@ class _VectorSchemeState:
     doubles as the other axis's fault-free reference) and the raw array
     contents feed the vectorized data path.  Only behavioural memory
     faults read through the scheme, memoised per distinct address with
-    the packed engine's early exit.
+    the serial loop's early exit.
     """
 
     def __init__(
@@ -591,7 +810,6 @@ class _VectorSchemeState:
         addresses: Sequence[int],
         chunk: Optional[int],
     ):
-        require_numpy()
         self.memory = memory
         self.addresses = list(addresses)
         self.chunk = DEFAULT_WINDOW if chunk is None else chunk
@@ -601,6 +819,10 @@ class _VectorSchemeState:
         self.addr_stream = stream
         self.row_stream = stream >> org.s
         self.col_stream = stream & (org.column_mux - 1)
+        self.sims = {
+            "row": _VectorCircuit(memory.row.circuit),
+            "column": _VectorCircuit(memory.column.circuit),
+        }
         self._stored = None
         self._stored_zero = None
         self._axis_rejects = None
@@ -637,26 +859,25 @@ class _VectorSchemeState:
         their checker verdict per cycle is a pure function of the axis
         value — one tiny vector pass over every axis value replaces the
         behavioural read path.  Non-trivial only for exotic plugin
-        codes, but kept exact so vector == packed == serial.
+        codes, but kept exact so vector == serial.
         """
         if self._axis_rejects is None:
             memory = self.memory
             luts = []
-            for checked, checker in (
-                (memory.row, memory.row_checker),
-                (memory.column, memory.column_checker),
+            for axis, checked, checker in (
+                ("row", memory.row, memory.row_checker),
+                ("column", memory.column, memory.column_checker),
             ):
                 count = 1 << checked.n
                 mask = _lane_mask(count)
-                sim = _VectorCircuit(
-                    checked.circuit,
+                golden = self.sims[axis].golden(
                     _pack_values(
                         np.arange(count, dtype=np.int64), checked.n
                     ),
                     mask,
                 )
                 rom = [
-                    sim.golden_values[net][None, :]
+                    golden[net][None, :]
                     for net in checked.circuit.output_nets[count:]
                 ]
                 acc = _accepts_lanes(checker, rom, mask, count)
@@ -672,7 +893,7 @@ class _VectorSchemeState:
         golden decoders: the verdict is ``golden axis reject | parity
         reject of that word``, a pure function of the address.  Raw
         words are read once per distinct streamed address (in stream
-        order, exactly the packed engine's memoisation), every fault's
+        order, memoised per address), every fault's
         word table is judged as one address-indexed lane batch, and the
         verdict tables are gathered over the cycle stream in a single
         lookup each.
@@ -740,16 +961,14 @@ class _VectorSchemeState:
             stop = min(start + self.chunk, total)
             lanes = stop - start
             mask = _lane_mask(lanes)
-            sims = {
-                "row": _VectorCircuit(
-                    memory.row.circuit,
+            goldens = {
+                "row": self.sims["row"].golden(
                     _pack_values(
                         self.row_stream[start:stop], memory.row.n
                     ),
                     mask,
                 ),
-                "column": _VectorCircuit(
-                    memory.column.circuit,
+                "column": self.sims["column"].golden(
                     _pack_values(
                         self.col_stream[start:stop], memory.column.n
                     ),
@@ -760,15 +979,14 @@ class _VectorSchemeState:
                 if not active[axis]:
                     continue
                 other = "column" if axis == "row" else "row"
-                detection = self._axis_window(
+                firsts = self._axis_window(
                     axis,
                     [reps[axis][i] for i in active[axis]],
-                    sims[axis],
-                    sims[other],
+                    goldens[axis],
+                    goldens[other],
                     mask,
                     lanes,
                 )
-                firsts = _first_set_lanes(detection)
                 survivors = []
                 for pos, index in enumerate(active[axis]):
                     first = int(firsts[pos])
@@ -780,8 +998,8 @@ class _VectorSchemeState:
             offset += stop - start
         return outcomes["row"], outcomes["column"]
 
-    def _axis_window(self, axis, reps, sim, other_sim, mask, lanes):
-        """(F, W) detection lanes of one window, all faults at once.
+    def _axis_window(self, axis, reps, golden, other_golden, mask, lanes):
+        """First detection lane (-1: none) per fault in one window.
 
         ``detection = axis-checker reject | other-axis fault-free
         reject | parity reject``.  The other-axis verdict is its own
@@ -804,30 +1022,21 @@ class _VectorSchemeState:
 
         num_lines = 1 << checked.n
         outputs = checked.circuit.output_nets
-        line_nets = outputs[:num_lines]
-        rom_nets = outputs[num_lines:]
-        values = sim.outputs_with_faults(reps)
-        acc = _accepts_lanes(
-            checker, [values[net] for net in rom_nets], mask, lanes
-        )
-        detection = ~acc & mask
 
         # other-axis fault-free rejection: its golden code output fails
         # its own checker (non-trivial only for exotic writers/codes,
-        # but kept exact so vector == packed == serial under *any*
+        # but kept exact so vector == serial under *any*
         # memory preparation)
         other_outputs = other.circuit.output_nets
         other_rom = [
-            other_sim.golden_values[net][None, :]
+            other_golden[net][None, :]
             for net in other_outputs[1 << other.n :]
         ]
         other_acc = _accepts_lanes(other_checker, other_rom, mask, lanes)
-        detection = detection | (~other_acc & mask)
 
         # fault-free other-axis line activity (golden vector pass)
         other_lines = [
-            other_sim.golden_values[net]
-            for net in other_outputs[: 1 << other.n]
+            other_golden[net] for net in other_outputs[: 1 << other.n]
         ]
 
         # zero-cell masks: zmask[j, b] = lanes whose active other-axis
@@ -856,18 +1065,45 @@ class _VectorSchemeState:
             axis=1,
         )  # (J, width, W)
 
-        count = len(reps)
-        violation = np.zeros((count, width, words), dtype=np.uint64)
-        for j, net in enumerate(line_nets):
-            violation |= values[net][:, None, :] & zmask[j][None, :, :]
-        data_columns = [
-            ~violation[:, b, :] & mask for b in range(width)
-        ]
-        parity_acc = _accepts_lanes(
-            memory.parity_checker, data_columns, mask, lanes
-        )
-        detection |= ~parity_acc & mask
-        return detection
+        # the faulted axis, a fault batch at a time: each word line j
+        # folds into the violations as it is produced, the ROM columns
+        # are kept for the axis checker
+        sim = self.sims[axis]
+        line_of = {net: line for line, net in enumerate(outputs[:num_lines])}
+        firsts = []
+        for part in sim.batches(len(reps), words):
+            shape = (len(reps[part]),) + mask.shape
+            violation = np.zeros(
+                (shape[0], width, words), dtype=np.uint64
+            )
+            rom: Dict[int, object] = {}
+
+            def consume(net, rows):
+                line = line_of.get(net)
+                if line is None:
+                    rom[net] = np.broadcast_to(rows, shape)
+                else:
+                    np.bitwise_or(
+                        violation,
+                        rows[..., None, :] & zmask[line],
+                        out=violation,
+                    )
+
+            sim.evaluate(golden, reps[part], mask, consume)
+            acc = _accepts_lanes(
+                checker, [rom[net] for net in outputs[num_lines:]], mask,
+                lanes,
+            )
+            parity_acc = _accepts_lanes(
+                memory.parity_checker,
+                [~violation[:, b, :] & mask for b in range(width)],
+                mask,
+                lanes,
+            )
+            firsts.append(
+                _first_set_lanes(~(acc & other_acc & parity_acc) & mask)
+            )
+        return np.concatenate(firsts)
 
 
 def _vector_scheme_worker(payload):
@@ -875,8 +1111,8 @@ def _vector_scheme_worker(payload):
 
     Jobs of the same axis are batched into one fault-parallel
     evaluation; behavioural memory faults use the memoised pure-read
-    path.  Output order matches the job order (the packed worker's
-    contract)."""
+    path.  Output order matches the job order (the
+    :func:`_map_jobs` contract)."""
     (memory, addresses, chunk), jobs = payload
     state = _VectorSchemeState(memory, addresses, chunk)
     out: List[Optional[int]] = [None] * len(jobs)
@@ -918,14 +1154,13 @@ def scheme_campaign_vector(
     *together* — one vectorized traversal per cycle window for the whole
     fault list, with the parity data path resolved as array ops over
     the static array contents instead of per-fault behavioural reads.
-    Bit-identical to the packed and serial engines.
+    Bit-identical to the serial oracle.
     """
     from repro.faultsim.campaign import (
         classify_structural_fault,
         default_scheme_writer,
     )
 
-    require_numpy()
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be >= 1 lanes, got {chunk}")
 

@@ -9,7 +9,7 @@ Every campaign producer routes through this layer:
   scenario population, workload, engine policy, repro version;
 * :class:`ResultStore` — content-addressed, hash-verified campaign
   cache keyed by :func:`campaign_key` over canonical
-  ``(spec, scenarios, workload, engine-policy)`` material, with
+  ``(spec, scenarios, workload, collapse policy)`` material, with
   per-shard checkpoints for resumable ``workers=N`` campaigns.
 
 :class:`repro.faultsim.results.CampaignResult` remains the in-memory

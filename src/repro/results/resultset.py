@@ -16,7 +16,7 @@ CampaignResult` never had:
   campaigns stream to disk in constant memory (see
   :class:`ResultSetWriter` for the producer-side streaming handle);
 * **algebra** — :meth:`merge`, :meth:`filter`, :meth:`group_by` and
-  :meth:`diff` make cross-run comparisons (packed vs serial, code A vs
+  :meth:`diff` make cross-run comparisons (vector vs serial, code A vs
   code B, workload sweeps) one-liners;
 * **content-addressability** — the canonical JSONL form is what
   :class:`repro.results.store.ResultStore` hashes and verifies.
@@ -346,7 +346,7 @@ class ResultSet(RecordStatistics):
 
     def diff(self, other: "ResultSet") -> "ResultDiff":
         """Record-matched comparison against another run (by fault
-        identity + kind; the cross-run one-liner for packed-vs-serial,
+        identity + kind; the cross-run one-liner for vector-vs-serial,
         code-vs-code and workload-sweep questions)."""
         return ResultDiff.between(self, other)
 

@@ -2,7 +2,7 @@
 
 The store maps a **campaign key** — the sha256 of the canonical JSON of
 ``(campaign family, target identity, scenario population, workload,
-engine policy)`` — to a serialised :class:`~repro.results.resultset.
+collapse policy)`` — to a serialised :class:`~repro.results.resultset.
 ResultSet`.  Identical re-runs are served from disk (and verified by
 hash) instead of re-invoking the simulator; ``workers=N`` campaigns
 additionally checkpoint per shard, so an interrupted campaign resumes
@@ -19,9 +19,10 @@ writes never poison the cache); a payload whose bytes no longer hash to
 the recorded sha256 raises :class:`ResultStoreError` — a hit is always
 a *verified* hit.
 
-Execution details that are proven result-invariant — ``workers`` (pool
-sharding) and ``chunk`` (lane windows) — are deliberately **excluded**
-from the key, so a re-run on different hardware still hits.
+Execution details that are proven result-invariant — ``engine``
+(vector fast path or serial oracle), ``workers`` (pool sharding) and
+``chunk`` (lane windows) — are deliberately **excluded** from the key,
+so a re-run on another engine or on different hardware still hits.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ One vocabulary drives every campaign:
   faults, transient upsets and multi-fault combinations under one
   hierarchy;
 * :class:`CampaignEngine` — the facade routing any scenario family to
-  the ``"packed"`` fast path or the ``"serial"`` bit-identity oracle,
+  the ``"vector"`` fast path or the ``"serial"`` bit-identity oracle,
   with ``collapse`` / ``workers`` / ``chunk`` execution policy.
 
 The pre-1.3 helpers (``random_addresses``, ``scrubbed_stream``,

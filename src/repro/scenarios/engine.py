@@ -1,10 +1,11 @@
-"""`CampaignEngine` — one facade, every campaign, both backends.
+"""`CampaignEngine` — one facade, every campaign, two engines.
 
-The unified driver over the scenario vocabulary: decoder and scheme
-campaigns delegate to :mod:`repro.faultsim` (packed PPSFP engine /
-serial oracle, unchanged semantics), while **transient** and **march**
-campaigns — serial-only before 1.3 — gain first-class packed backends
-here:
+The unified driver over the scenario vocabulary.  ``engine="vector"``
+is the one fast path of every campaign family and ``engine="serial"``
+the per-cycle oracle it is proven bit-identical against: decoder and
+scheme campaigns delegate to :mod:`repro.faultsim` (NumPy lane-array
+engine / serial loops), while **transient** and **march** campaigns
+run their packed lane-mask backends here:
 
 * *Transient upsets as time-varying lane masks.*  With lane ``k`` =
   cycle ``k``, an upset at cycle ``c`` is an XOR mask on the lanes
@@ -27,7 +28,7 @@ here:
   Unknown fault classes fall back to the serial replay, so the facade
   is total.
 
-Both packed paths are proven bit-identical to the serial oracle
+Both lane-mask paths are proven bit-identical to the serial oracle
 record-by-record; the serial loops remain the reference semantics.
 """
 
@@ -44,11 +45,10 @@ from typing import (
     Union,
 )
 
-from repro.faultsim.fastsim import _map_jobs
 from repro.faultsim.results import CampaignResult, FaultRecord
 from repro.faultsim.transient import TransientUpset
 from repro.circuits.parallel import first_set_lane
-from repro.faultsim.vectorsim import resolve_engine
+from repro.faultsim.vectorsim import _map_jobs, check_engine
 from repro.results import (
     Provenance,
     ResultStore,
@@ -546,29 +546,24 @@ class CampaignEngine:
     :class:`~repro.scenarios.workload.Workload` /
     :class:`~repro.scenarios.faults.FaultScenario` vocabulary:
 
-    * ``engine`` — ``"packed"`` fast path, ``"vector"`` NumPy
-      lane-array engine (optional ``repro[vector]`` extra), or
-      ``"serial"`` bit-identity oracle; ``"auto"`` resolves to
-      ``"vector"`` when NumPy is importable and falls back to
-      ``"packed"`` otherwise (resolution happens here, at
-      construction, so the stamped provenance names the engine that
-      actually ran).  :meth:`transient` and :meth:`march` route
-      ``"vector"`` through the packed lane algebra — their hot path is
-      already whole-word, and results stay engine-invariant;
+    * ``engine`` — ``"vector"`` (default), the one fast path, or
+      ``"serial"``, the bit-identity oracle.  :meth:`decoder` and
+      :meth:`scheme` run the NumPy lane-array engine; :meth:`transient`
+      and :meth:`march` run their whole-word lane-mask backends;
     * ``workers`` — process-pool sharding of the scenario list (every
       method);
     * ``collapse`` — structural equivalence classes (:meth:`decoder`
       and :meth:`scheme`, where structural faults occur);
-    * ``chunk`` — bounded-memory lane windows (:meth:`decoder` and
-      :meth:`transient`, plus :meth:`scheme` under the vector engine,
-      the streaming backends; :meth:`march` ignores it — its packed
-      path is already bounded by the compiled march length).
+    * ``chunk`` — bounded-memory lane windows (:meth:`decoder`,
+      :meth:`scheme` and :meth:`transient`, the streaming backends;
+      :meth:`march` ignores it — its lane masks are already bounded by
+      the compiled march length).
 
     Since 1.4 the engine also carries the **artifact policy**:
 
     * ``store`` — a :class:`repro.results.ResultStore` (or its root
       path).  Every campaign is keyed on the canonical hash of
-      ``(target, scenarios, workload, engine-policy)``; identical
+      ``(target, scenarios, workload, collapse policy)``; identical
       re-runs are served from disk, hash-verified, without invoking the
       simulator.  With ``workers=N`` the scenario-list campaigns
       (:meth:`decoder`, :meth:`transient`, :meth:`march`) additionally
@@ -578,20 +573,24 @@ class CampaignEngine:
     * ``cache`` — ``False`` skips the lookup but still refreshes the
       store entry (the CLI's ``--no-cache``).
 
-    ``workers`` and ``chunk`` are excluded from the campaign key: both
-    are proven result-invariant execution details.
+    ``engine``, ``workers`` and ``chunk`` are excluded from the
+    campaign key: all three are proven result-invariant execution
+    details, so a serial run and a vector run share one store entry.
+    The serial oracle never reads the store, though — it is there to
+    check the fast path, so it always simulates (and refreshes the
+    entry), whatever ``cache`` says.
     """
 
     def __init__(
         self,
-        engine: str = "packed",
+        engine: str = "vector",
         collapse: bool = True,
         workers: Optional[int] = None,
         chunk: Optional[int] = None,
         store: Optional[Union[ResultStore, str]] = None,
         cache: bool = True,
     ):
-        engine = resolve_engine(engine)
+        engine = check_engine(engine)
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunk is not None and chunk < 1:
@@ -602,6 +601,11 @@ class CampaignEngine:
         self.chunk = chunk
         self.store = ResultStore.coerce(store)
         self.cache = cache
+
+    @property
+    def _reads_store(self) -> bool:
+        """Whether a stored result may stand in for a simulation."""
+        return self.cache and self.engine != "serial"
 
     def __repr__(self) -> str:
         return (
@@ -631,7 +635,7 @@ class CampaignEngine:
             "workload": (
                 workload_material(workload) if workload is not None else None
             ),
-            "policy": {"engine": self.engine, "collapse": self.collapse},
+            "policy": {"collapse": self.collapse},
         }
         if extra:
             material["extra"] = extra
@@ -710,7 +714,7 @@ class CampaignEngine:
             family, workload, len(scenarios),
             material=material, key=key, spec=spec,
         )
-        if self.cache:
+        if self._reads_store:
             cached = self.store.get(key)
             if cached is not None:
                 view = cached.to_campaign()
@@ -768,7 +772,9 @@ class CampaignEngine:
             shard_material["shard"] = {"index": index, "of": shard_count}
             shard_key = campaign_key(shard_material)
             shard_keys.append(shard_key)
-            cached = self.store.get(shard_key) if self.cache else None
+            cached = (
+                self.store.get(shard_key) if self._reads_store else None
+            )
             if cached is not None:
                 parts.append(cached.to_campaign())
                 continue
@@ -938,13 +944,13 @@ class CampaignEngine:
         live corruption).  ``first_error`` is the first read observing
         corrupt data, ``first_detection`` the first read the parity
         check flags — a gap between them is a parity escape (e.g. a
-        double flip in one word).  Packed backend: time-varying lane
+        double flip in one word).  Vector backend: time-varying lane
         masks (module docstring); serial: the per-cycle oracle.
 
         The campaign owns the RAM: pre-injected behavioural faults are
         refused (pass them as scenarios to :meth:`scheme`/:meth:`march`
         instead), and the contents are scratch — the serial replay
-        leaves the array as the all-zero fill; the packed backend never
+        leaves the array as the all-zero fill; the lane-mask backend never
         touches it.
         """
         workload = as_workload(workload)
@@ -1007,7 +1013,7 @@ class CampaignEngine:
         Each scenario runs the full march from a fresh all-zero array;
         ``first_detection`` is the index of the first violating read in
         the compiled operation stream (one lane per operation), ``None``
-        when the algorithm's coverage class misses the fault.  Packed
+        when the algorithm's coverage class misses the fault.  Vector
         backend: compiled lane masks with serial fallback for unknown
         fault classes; serial: full replay.
         """

@@ -105,7 +105,7 @@ class MemoryScenario(FaultScenario):
 class TransientScenario(FaultScenario):
     """One or more single-event upsets, each striking at its own cycle.
 
-    Multi-upset scenarios are where the packed engine's time-varying
+    Multi-upset scenarios are where the vector engine's time-varying
     lane masks earn their keep — e.g. two flips in one word restoring
     parity (``first_error`` set, ``first_detection`` ``None``).
     """

@@ -15,8 +15,8 @@ replaces all three (the old helpers survive as thin shims):
   (:meth:`Workload.interleave`), so "march sweep then uniform traffic"
   or "scrub every 4th cycle" are first-class values;
 * **chunk-iterable** — :meth:`chunks` / :meth:`address_chunks` stream a
-  million-cycle trace in bounded memory; the packed campaign engines
-  accept a ``chunk=W`` lane width and are proven invariant under it;
+  million-cycle trace in bounded memory; the vector campaign engine
+  accepts a ``chunk=W`` lane width and are proven invariant under it;
 * **read/write aware** — accesses carry an operation and a background
   bit, so RAM-level campaigns (march, transient) and decoder-level
   campaigns (address-only) draw from the same object.
@@ -128,8 +128,8 @@ class Workload:
         """Stream the trace in lists of at most ``size`` accesses.
 
         The bounded-memory path: a million-cycle workload never has to
-        materialise, and the packed engines consume these chunks as lane
-        windows (``chunk=W``) with results invariant in ``W``.
+        materialise, and the lane-mask backends consume these chunks as
+        lane windows (``chunk=W``) with results invariant in ``W``.
         """
         if size < 1:
             raise ValueError(f"chunk size must be >= 1, got {size}")

@@ -28,7 +28,7 @@ import threading
 from concurrent import futures
 from typing import Dict, List, Optional, Union
 
-from repro.faultsim.vectorsim import CAMPAIGN_ENGINES
+from repro.faultsim.vectorsim import check_engine
 from repro.results import ResultStore
 from repro.service.jobs import JobQueue, JobRecord, JobStateError
 from repro.suite.runner import SuiteRunner
@@ -51,11 +51,8 @@ def _validate_options(options: dict) -> dict:
         not isinstance(workers, int) or workers < 1
     ):
         raise ValueError(f"workers must be an int >= 1, got {workers!r}")
-    engine = options.get("engine")
-    if engine is not None and engine not in CAMPAIGN_ENGINES:
-        raise ValueError(
-            f"engine must be one of {CAMPAIGN_ENGINES}, got {engine!r}"
-        )
+    if options.get("engine") is not None:
+        check_engine(options["engine"])
     only = options.get("only")
     if only is not None and only not in FAMILIES:
         raise ValueError(

@@ -70,7 +70,7 @@ def _campaign_engine(cell: CampaignCell, store, cache: bool):
 
     policy = cell.policy
     return CampaignEngine(
-        engine=policy.get("engine", "packed"),
+        engine=policy.get("engine", "vector"),
         collapse=policy.get("collapse", True),
         workers=policy.get("workers"),
         chunk=policy.get("chunk"),
@@ -119,7 +119,7 @@ def _run_design(cell: CampaignCell, store, cache: bool):
         spec,
         empirical=empirical,
         empirical_cycles=int(policy.get("empirical_cycles", 256)),
-        engine=policy.get("engine", "packed"),
+        engine=policy.get("engine", "vector"),
         workers=policy.get("workers"),
     )
     summary = {
@@ -136,7 +136,6 @@ def _run_design(cell: CampaignCell, store, cache: bool):
             spec,
             empirical=empirical,
             empirical_cycles=int(policy.get("empirical_cycles", 256)),
-            engine=policy.get("engine", "packed"),
         )
     if report.empirical is not None:
         summary["empirical"] = {
@@ -343,8 +342,8 @@ class SuiteRunner:
         """Execute the suite and aggregate a :class:`SuiteReport`.
 
         ``only`` filters cells to one family; ``engine`` overrides
-        every cell's engine policy (the CLI's ``--engine``, any of
-        ``serial|packed|vector|auto``) — cell ids stay stable because
+        every cell's engine policy (the CLI's ``--engine``,
+        ``vector|serial``) — cell ids stay stable because
         the override is applied after expansion, not in the policy
         label.
         ``lint=True`` statically analyzes the suite first and raises

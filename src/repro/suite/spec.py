@@ -190,7 +190,7 @@ def _workload_label(workload: Optional[dict]) -> str:
 def _policy_label(policy: dict) -> str:
     parts = []
     engine = policy.get("engine")
-    if engine and engine != "packed":
+    if engine and engine != "vector":
         parts.append(str(engine))
     if policy.get("collapse") is False:
         parts.append("nocollapse")

@@ -62,8 +62,8 @@ class TestCampaignSubcommands:
         assert main(["transient", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["command"] == "transient"
-        assert data["engine"] == "packed"
-        assert data["campaign"]["engine"] == "packed"
+        assert data["engine"] == "vector"
+        assert data["campaign"]["engine"] == "vector"
         workloads = {row["workload"] for row in data["rows"]}
         assert {"uniform", "sequential", "bursty"} <= workloads
 
@@ -76,13 +76,15 @@ class TestCampaignSubcommands:
         assert "coupling (write CFid)" in by_test["MATS+"]["missed_classes"]
 
     def test_serial_engine_flag(self, capsys):
-        assert main(["march", "--serial", "--json"]) == 0
+        assert main(["march", "--engine", "serial", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["engine"] == "serial"
 
     def test_workers_with_serial_rejected(self, capsys):
-        assert main(["transient", "--serial", "--workers", "2"]) == 1
-        assert "--workers requires the packed or vector engine" in (
+        assert main(
+            ["transient", "--engine", "serial", "--workers", "2"]
+        ) == 1
+        assert "--workers requires the vector engine" in (
             capsys.readouterr().err
         )
 

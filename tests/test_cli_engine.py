@@ -1,90 +1,112 @@
-"""The unified --engine CLI surface: policy choices on every
-campaign-driven command, the deprecated --packed/--serial aliases,
-alias/flag conflicts, suite-level overrides, and the resolved engine in
---json payloads."""
+"""The --engine CLI surface: the vector|serial policy on every
+campaign-driven command, clean refusal of the retired --packed/--serial
+flags, suite-level overrides, and the engine in --json payloads."""
 
 import json
 
 import pytest
 
 from repro.cli import ENGINE_CHOICES, main
-from repro.faultsim.vectorsim import numpy_available
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="NumPy (repro[vector]) not installed"
-)
 
 
 class TestEngineChoices:
     def test_choices_cover_the_campaign_policies(self):
-        assert set(ENGINE_CHOICES) == {
-            "serial", "packed", "vector", "auto",
-        }
+        assert set(ENGINE_CHOICES) == {"vector", "serial"}
 
     def test_unknown_engine_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["march", "--engine", "warp"])
-        assert excinfo.value.code == 2
-        assert "--engine" in capsys.readouterr().err
+        # the retired packed/auto policies are unknown like any other
+        for engine in ("warp", "packed", "auto"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["march", "--engine", engine])
+            assert excinfo.value.code == 2
+            assert "--engine" in capsys.readouterr().err
 
 
 class TestEngineFlag:
-    def test_march_packed_json(self, capsys):
-        assert main(["march", "--engine", "packed", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["engine"] == "packed"
-
     def test_march_serial_json(self, capsys):
         assert main(["march", "--engine", "serial", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["engine"] == "serial"
 
-    @needs_numpy
     def test_march_vector_json(self, capsys):
         assert main(["march", "--engine", "vector", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["engine"] == "vector"
 
-    @needs_numpy
-    def test_auto_reports_the_resolved_engine(self, capsys):
-        # "auto" is a policy; the payload surfaces what actually ran
-        assert main(["march", "--engine", "auto", "--json"]) == 0
+    def test_vector_is_the_default(self, capsys):
+        assert main(["march", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["engine"] == "vector"
+
+    def test_serial_never_reads_the_store(self, tmp_path, capsys):
+        # the oracle checks the fast path: a store that already holds
+        # the vector records must not stand in for its simulation
+        store = str(tmp_path / "store")
+
+        def run(engine):
+            assert main(
+                ["march", "--engine", engine, "--store", store, "--json"]
+            ) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert data["engine"] == engine
+            return data["campaign"]["store"]
+
+        assert run("vector")["puts"] > 0
+        serial = run("serial")
+        assert serial["requests"] == serial["hits"] == 0
+        assert serial["puts"] > 0
+        again = run("vector")
+        assert again["hits"] == again["requests"] > 0
+
+    def test_serial_empirical_report_bypasses_the_report_cache(
+        self, tmp_path, capsys
+    ):
+        store = str(tmp_path / "store")
+
+        def run(engine):
+            assert main(
+                ["report", "--words", "256", "--bits", "8", "-c", "10",
+                 "-p", "1e-9", "--empirical", "--engine", engine,
+                 "--store", store, "--json"]
+            ) == 0
+            return json.loads(capsys.readouterr().out)["empirical"]
+
+        vector = run("vector")
+        serial = run("serial")
+        assert serial["engine"] == "serial"
+        assert not serial["store_hit"]
+        assert serial["result_key"] == vector["result_key"]
+        for key in ("faults", "detected", "coverage"):
+            assert serial[key] == vector[key]
 
     def test_serial_engine_rejects_workers(self, capsys):
         assert main(
             ["transient", "--engine", "serial", "--workers", "2"]
         ) == 1
-        assert "--workers requires the packed or vector engine" in (
+        assert "--workers requires the vector engine" in (
             capsys.readouterr().err
         )
 
 
 class TestDeprecatedAliases:
-    def test_serial_alias_still_works(self, capsys):
-        assert main(["march", "--serial", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["engine"] == "serial"
-
-    def test_packed_alias_still_works(self, capsys):
-        assert main(["march", "--packed", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["engine"] == "packed"
-
-    def test_alias_help_says_deprecated(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["march", "--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert "deprecated alias for --engine packed" in out
-        assert "deprecated alias for --engine serial" in out
+    """The --packed/--serial aliases are gone: passing one is a clean
+    argparse refusal (exit 2, one-line diagnostic, no traceback)."""
 
     def test_alias_conflicts_with_engine_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["march", "--engine", "serial", "--packed"])
         assert excinfo.value.code == 2
-        assert "not allowed with" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --packed" in err
+        assert "Traceback" not in err
+
+    def test_help_lists_only_the_engine_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["march", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "--engine {vector,serial}" in out
+        assert "--packed" not in out and "--serial" not in out
 
 
 class TestSuiteEngineOverride:
@@ -102,13 +124,13 @@ class TestSuiteEngineOverride:
         }
         assert engines == {"serial"}
 
-    @needs_numpy
     def test_suite_run_vector_matches_packed_payload(
         self, tmp_path, capsys
     ):
         # the acceptance contract: an --engine vector suite run is
-        # stable-payload identical to the packed run (engine names and
-        # wall times aside)
+        # stable-payload identical to the serial oracle's run (engine
+        # names and wall times aside) and lands under the same store
+        # keys, since the engine is not part of the key material
         def run(engine, store):
             assert main(
                 ["suite", "run", "smoke", "--engine", engine,
@@ -117,13 +139,12 @@ class TestSuiteEngineOverride:
             return json.loads(capsys.readouterr().out)
 
         def stable(report):
-            # everything but the engine labels and the engine-keyed
-            # store identity: the scientific payload must be identical
+            # everything but the engine labels and wall times: the
+            # scientific payload and the store keys must be identical
             cells = []
             for cell in report["cells"]:
                 cell = dict(cell)
                 cell.pop("execution")
-                cell.pop("store_key")
                 cell["summary"] = {
                     k: v
                     for k, v in cell["summary"].items()
@@ -132,20 +153,23 @@ class TestSuiteEngineOverride:
                 cell["provenance"] = {
                     k: v
                     for k, v in cell["provenance"].items()
-                    if k not in ("engine", "key")
+                    if k != "engine"
                 }
                 cells.append(cell)
             return cells
 
-        packed = run("packed", tmp_path / "packed-store")
+        serial = run("serial", tmp_path / "serial-store")
         vector = run("vector", tmp_path / "vector-store")
-        assert stable(packed) == stable(vector)
+        assert stable(serial) == stable(vector)
 
     def test_suite_run_alias_conflicts_with_engine(self, capsys):
+        # the retired alias is refused cleanly next to --engine
         with pytest.raises(SystemExit) as excinfo:
             main(
                 ["suite", "run", "smoke", "--engine", "serial",
                  "--packed"]
             )
         assert excinfo.value.code == 2
-        assert "not allowed with" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --packed" in err
+        assert "Traceback" not in err

@@ -146,11 +146,12 @@ class TestHardenedErrorPaths:
         assert "'blocks'" in err
 
     def test_conflicting_packed_serial(self, capsys):
+        # the retired --packed/--serial flags are refused cleanly
         with pytest.raises(SystemExit) as excinfo:
             main(["suite", "run", "smoke", "--packed", "--serial"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "not allowed with" in err
+        assert "unrecognized arguments: --packed --serial" in err
         assert "Traceback" not in err
 
     def test_missing_store_directory(self, capsys, tmp_path):

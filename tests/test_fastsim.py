@@ -1,5 +1,6 @@
-"""Packed campaign engine vs the serial oracle: record-level bit-identity,
-plus the incremental packed evaluator against evaluate_packed."""
+"""The fast campaign path (the vector engine, the default) vs the serial
+oracle: record-level bit-identity, plus the vector engine's lane-array
+circuit evaluator against the bigint evaluate_packed."""
 
 import itertools
 import random
@@ -27,7 +28,13 @@ from repro.core.mapping import mapping_for_code
 from repro.core.scheme import SelfCheckingMemory
 from repro.core.selection import select_code
 from repro.faultsim.campaign import decoder_campaign, scheme_campaign
-from repro.faultsim.fastsim import PackedStream, _PackedCircuit
+from repro.faultsim.vectorsim import (
+    _int_to_row,
+    _lane_mask,
+    _pack_values,
+    _row_to_int,
+    _VectorCircuit,
+)
 from repro.faultsim.injector import (
     burst_addresses,
     decoder_fault_list,
@@ -76,7 +83,8 @@ def checker35():
 
 
 class TestPackedCircuit:
-    """The incremental cone evaluator is lane-exact vs evaluate_packed."""
+    """The vector engine's lane-array evaluator (faults x packed cycle
+    lanes) is lane-exact vs evaluate_packed, fault by fault."""
 
     @staticmethod
     def random_circuit(seed, inputs=4, gates=14):
@@ -105,6 +113,8 @@ class TestPackedCircuit:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_evaluate_packed_for_every_fault(self, seed):
+        import numpy as np
+
         circuit = self.random_circuit(seed)
         rng = random.Random(100 + seed)
         stimuli = [
@@ -112,27 +122,48 @@ class TestPackedCircuit:
             for _ in range(33)
         ]
         packed, lanes = pack_stimuli(stimuli)
-        sim = _PackedCircuit(circuit, packed, lanes)
+        words = (lanes + 63) // 64
+        mask = _lane_mask(lanes)
+        sim = _VectorCircuit(circuit)
+        golden = sim.golden(
+            [_int_to_row(word, words) for word in packed], mask
+        )
         faults = enumerate_stuck_at_faults(
             circuit, include_inputs=True, include_pins=True
         )
-        for fault in faults:
+        outputs = {}
+
+        def consume(net, rows):
+            rows = np.broadcast_to(rows, (len(faults),) + mask.shape)
+            outputs[net] = rows
+
+        sim.evaluate(golden, faults, mask, consume)
+        assert set(outputs) == set(circuit.output_nets)
+        for row, fault in enumerate(faults):
             expected = evaluate_packed(
                 circuit, packed, lanes, faults=(fault,)
             )
-            values = sim.values_with_fault(fault)
-            got = [values[net] for net in circuit.output_nets]
+            got = [
+                _row_to_int(outputs[net][row]) for net in circuit.output_nets
+            ]
             assert got == expected, fault
 
     def test_golden_pass_matches_evaluate_packed(self, checked4):
+        import numpy as np
+
         addresses = _uniform_addresses(4, 40, seed=9)
-        stream = PackedStream(checked4, addresses)
-        expected = evaluate_packed(
-            checked4.circuit, stream.packed_inputs, stream.num_lanes
+        golden = _VectorCircuit(checked4.circuit).golden(
+            _pack_values(np.asarray(addresses), checked4.n),
+            _lane_mask(len(addresses)),
         )
+        stimuli = [
+            [(address >> bit) & 1 for bit in range(checked4.n)]
+            for address in addresses
+        ]
+        packed, lanes = pack_stimuli(stimuli)
+        expected = evaluate_packed(checked4.circuit, packed, lanes)
         got = [
-            stream.sim.golden_values[net]
-            for net in checked4.circuit.output_nets
+            _row_to_int(golden[net]) for net in checked4.circuit.output_nets
         ]
         assert got == expected
 
@@ -153,11 +184,11 @@ class TestDecoderCampaignEquivalence:
         serial = decoder_campaign(
             checked4, checker35, faults, addresses, engine="serial"
         )
-        packed = decoder_campaign(
+        fast = decoder_campaign(
             checked4, checker35, faults, addresses, collapse=collapse
         )
-        assert record_key(serial) == record_key(packed)
-        assert serial.engine == "serial" and packed.engine == "packed"
+        assert record_key(serial) == record_key(fast)
+        assert serial.engine == "serial" and fast.engine == "vector"
 
     @pytest.mark.parametrize(
         "stream_factory",
@@ -174,22 +205,22 @@ class TestDecoderCampaignEquivalence:
             checked4, checker35, faults, addresses, engine="serial",
             attach_analytic=False,
         )
-        packed = decoder_campaign(
+        fast = decoder_campaign(
             checked4, checker35, faults, addresses, attach_analytic=False
         )
-        assert record_key(serial) == record_key(packed)
+        assert record_key(serial) == record_key(fast)
 
     def test_empty_stream_and_empty_fault_list(self, checked4, checker35):
         faults = decoder_fault_list(checked4)[:4]
-        packed = decoder_campaign(
+        fast = decoder_campaign(
             checked4, checker35, faults, [], attach_analytic=False
         )
         serial = decoder_campaign(
             checked4, checker35, faults, [], engine="serial",
             attach_analytic=False,
         )
-        assert record_key(serial) == record_key(packed)
-        assert all(r.first_detection is None for r in packed.records)
+        assert record_key(serial) == record_key(fast)
+        assert all(r.first_detection is None for r in fast.records)
         empty = decoder_campaign(
             checked4, checker35, [], _uniform_addresses(4, 16),
             attach_analytic=False,
@@ -217,11 +248,11 @@ class TestDecoderCampaignEquivalence:
             checked4, checker35, faults, addresses, engine="serial",
             attach_analytic=False,
         )
-        packed = decoder_campaign(
+        fast = decoder_campaign(
             checked4, checker35, faults, addresses, attach_analytic=False
         )
-        assert record_key(serial) == record_key(packed)
-        assert packed.total == 3
+        assert record_key(serial) == record_key(fast)
+        assert fast.total == 3
 
     def test_unknown_engine_rejected(self, checked4, checker35):
         with pytest.raises(ValueError):
@@ -251,10 +282,10 @@ def test_plugin_checker_campaign_matches_serial(checked4):
         checked4, checker, faults, addresses, engine="serial",
         attach_analytic=False,
     )
-    packed = decoder_campaign(
+    fast = decoder_campaign(
         checked4, checker, faults, addresses, attach_analytic=False
     )
-    assert record_key(serial) == record_key(packed)
+    assert record_key(serial) == record_key(fast)
 
 
 class TestSchemeCampaignEquivalence:
@@ -275,7 +306,7 @@ class TestSchemeCampaignEquivalence:
     @pytest.mark.parametrize("structural", [False, True])
     def test_all_fault_kinds_match_serial(self, structural):
         serial_memory = self.build_memory(structural)
-        packed_memory = self.build_memory(structural)
+        fast_memory = self.build_memory(structural)
         row_faults = decoder_fault_list(serial_memory.row) + [
             PinStuckAt(gate.index, pin, value)
             for gate in serial_memory.row.tree.circuit.gates[:10]
@@ -293,17 +324,17 @@ class TestSchemeCampaignEquivalence:
             column_faults=column_faults, memory_faults=self.MEMORY_FAULTS,
             engine="serial",
         )
-        packed = scheme_campaign(
-            packed_memory, addresses, row_faults=row_faults,
+        fast = scheme_campaign(
+            fast_memory, addresses, row_faults=row_faults,
             column_faults=column_faults, memory_faults=self.MEMORY_FAULTS,
         )
         key = lambda res: [
             (str(r.fault), r.kind, r.first_detection) for r in res.records
         ]
-        assert key(serial) == key(packed)
+        assert key(serial) == key(fast)
 
     def test_adversarial_writer_with_corrupt_contents(self):
-        """A writer that leaves non-code words in the array: the packed
+        """A writer that leaves non-code words in the array: the vector
         engine's fault-free rejection words must mirror serial."""
 
         def corrupting_writer(memory):
@@ -314,7 +345,7 @@ class TestSchemeCampaignEquivalence:
                 memory.ram.flip_stored_bit(address, 2)
 
         serial_memory = self.build_memory()
-        packed_memory = self.build_memory()
+        fast_memory = self.build_memory()
         row_faults = sample_faults(
             decoder_fault_list(serial_memory.row), 14, seed=6
         )
@@ -326,19 +357,19 @@ class TestSchemeCampaignEquivalence:
             memory_faults=self.MEMORY_FAULTS[:2],
             writer=corrupting_writer, engine="serial",
         )
-        packed = scheme_campaign(
-            packed_memory, addresses, row_faults=row_faults,
+        fast = scheme_campaign(
+            fast_memory, addresses, row_faults=row_faults,
             memory_faults=self.MEMORY_FAULTS[:2],
             writer=corrupting_writer,
         )
         key = lambda res: [
             (str(r.fault), r.kind, r.first_detection) for r in res.records
         ]
-        assert key(serial) == key(packed)
+        assert key(serial) == key(fast)
 
     def test_workers_shard_matches_serial(self):
         serial_memory = self.build_memory()
-        packed_memory = self.build_memory()
+        fast_memory = self.build_memory()
         row_faults = sample_faults(
             decoder_fault_list(serial_memory.row), 12, seed=2
         )
@@ -350,7 +381,7 @@ class TestSchemeCampaignEquivalence:
             memory_faults=self.MEMORY_FAULTS, engine="serial",
         )
         sharded = scheme_campaign(
-            packed_memory, addresses, row_faults=row_faults,
+            fast_memory, addresses, row_faults=row_faults,
             memory_faults=self.MEMORY_FAULTS, workers=2,
         )
         key = lambda res: [
@@ -440,7 +471,7 @@ class TestDesignEngineEmpirical:
         report = engine.evaluate(spec, empirical=True, empirical_cycles=128)
         emp = report.empirical
         assert emp is not None
-        assert emp.engine == "packed"
+        assert emp.engine == "vector"
         assert emp.faults > 0 and emp.cycles == 128
         assert 0.0 <= emp.coverage <= 1.0
         assert "empirical validation" in report.render()
@@ -455,14 +486,14 @@ class TestDesignEngineEmpirical:
 
         spec = DesignSpec(words=256, bits=8, c=10, pndc=1e-9)
         engine = DesignEngine()
-        packed = engine.empirical(spec, cycles=128)
+        fast = engine.empirical(spec, cycles=128)
         serial = engine.empirical(spec, cycles=128, engine="serial")
         for field in (
             "faults", "detected", "coverage", "mean_detection_cycle",
             "max_detection_cycle", "escape_fraction_at_c",
             "zero_latency_sa0",
         ):
-            assert getattr(packed, field) == getattr(serial, field), field
+            assert getattr(fast, field) == getattr(serial, field), field
 
 
 class TestCampaignCLI:
@@ -473,7 +504,7 @@ class TestCampaignCLI:
         import json
 
         payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"] == "packed"
+        assert payload["engine"] == "vector"
         assert payload["wall_time_s"] > 0
         assert payload["campaign"]["faults"] > 0
         assert payload["campaign"]["faults_per_sec"] > 0
@@ -490,12 +521,12 @@ class TestCampaignCLI:
 
         payload = json.loads(capsys.readouterr().out)
         assert payload["empirical"]["cycles"] == 64
-        assert payload["empirical"]["engine"] == "packed"
+        assert payload["empirical"]["engine"] == "vector"
 
     def test_serial_flag_round_trip(self, capsys):
         from repro.cli import main
 
-        assert main(["latency", "--serial", "--json"]) == 0
+        assert main(["latency", "--engine", "serial", "--json"]) == 0
         import json
 
         payload = json.loads(capsys.readouterr().out)
@@ -505,7 +536,9 @@ class TestCampaignCLI:
     def test_workers_with_serial_engine_rejected(self, capsys):
         from repro.cli import main
 
-        assert main(["latency", "--serial", "--workers", "2"]) == 1
-        assert "--workers requires the packed or vector engine" in (
+        assert main(
+            ["latency", "--engine", "serial", "--workers", "2"]
+        ) == 1
+        assert "--workers requires the vector engine" in (
             capsys.readouterr().err
         )

@@ -167,7 +167,7 @@ class TestProvenance:
         for record in artifact.records:
             provenance = artifact.record_provenance(record)
             assert provenance.campaign == "transient"
-            assert provenance.engine == "packed"
+            assert provenance.engine == "vector"
             assert provenance.repro_version
             assert provenance.workload.startswith("scrubbed")
             assert provenance.workload_spec["kind"] == "scrubbed"
@@ -273,13 +273,13 @@ class TestAlgebra:
         assert left.diff(self.make([("dup", 1), ("dup", 2)])).identical
 
     def test_diff_cross_engine_is_identical(self):
-        packed = run_transient_campaign(
-            CampaignEngine(engine="packed")
+        vector = run_transient_campaign(
+            CampaignEngine(engine="vector")
         ).to_result_set()
         serial = run_transient_campaign(
             CampaignEngine(engine="serial")
         ).to_result_set()
-        assert packed.diff(serial).identical
+        assert vector.diff(serial).identical
 
 
 @pytest.mark.parametrize(

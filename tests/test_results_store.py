@@ -285,10 +285,29 @@ class TestEngineCaching:
     def test_policy_change_misses(self, tmp_path):
         store = ResultStore(tmp_path)
         run_transient_campaign(CampaignEngine(store=store))
-        run_transient_campaign(CampaignEngine(engine="serial", store=store))
-        # serial run keyed separately (engine is part of the policy)
+        run_transient_campaign(CampaignEngine(collapse=False, store=store))
+        # keyed separately (collapse is part of the policy)
         assert store.stats.hits == 0
         assert store.stats.puts == 2
+
+    def test_engine_does_not_change_the_key(self, tmp_path):
+        # vector and serial are record-identical and share one key, but
+        # the serial oracle always simulates: it refreshes the vector
+        # artifact instead of being served it
+        store = ResultStore(tmp_path)
+        first = run_transient_campaign(CampaignEngine(store=store))
+        oracle = run_transient_campaign(
+            CampaignEngine(engine="serial", store=store)
+        )
+        assert not oracle.from_store
+        assert oracle.store_key == first.store_key
+        assert oracle.to_result_set().records == first.to_result_set().records
+        assert store.stats.puts == 2 and store.stats.hits == 0
+        # a vector re-run is a verified hit on the serial artifact
+        again = run_transient_campaign(CampaignEngine(store=store))
+        assert again.from_store
+        assert again.provenance.engine == "serial"
+        assert store.stats.hits == 1
 
     def test_workers_and_chunk_do_not_change_the_key(self, tmp_path):
         store = ResultStore(tmp_path)

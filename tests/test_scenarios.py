@@ -496,14 +496,14 @@ class TestTransientEngines:
     )
     def test_packed_matches_serial_record_by_record(self, workload):
         scenarios = self.scenarios()
-        packed = CampaignEngine("packed").transient(
+        packed = CampaignEngine("vector").transient(
             make_ram(), scenarios, workload
         )
         serial = CampaignEngine("serial").transient(
             make_ram(), scenarios, workload
         )
         assert records(packed) == records(serial)
-        assert packed.engine == "packed" and serial.engine == "serial"
+        assert packed.engine == "vector" and serial.engine == "serial"
 
     def test_double_upset_is_parity_escape(self):
         scenario = TransientScenario(
@@ -528,7 +528,7 @@ class TestTransientEngines:
                     yield Access(op, address, bit)
 
         script = Script(addresses_=(3, 3))
-        packed = CampaignEngine("packed").transient(
+        packed = CampaignEngine("vector").transient(
             make_ram(), [scenario], script
         )
         serial = CampaignEngine("serial").transient(
@@ -656,7 +656,7 @@ class TestSeededReproducibility:
 
 
 class _WeirdFault(MemoryFault):
-    """Not a built-in class: exercises the packed engine's serial
+    """Not a built-in class: exercises the lane-mask backend's serial
     fallback (reads of address 0 see bit 0 inverted)."""
 
     def apply_read(self, address, word, memory):
@@ -696,7 +696,7 @@ class TestMarchEngines:
     )
     def test_packed_matches_serial_record_by_record(self, test):
         scenarios = self.scenarios()
-        packed = CampaignEngine("packed").march(
+        packed = CampaignEngine("vector").march(
             make_ram(), scenarios, test
         )
         serial = CampaignEngine("serial").march(

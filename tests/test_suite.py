@@ -263,9 +263,9 @@ class TestRunner:
         assert all(
             cell.summary["engine"] == "serial" for cell in serial.cells
         )
-        # the serial oracle agrees with the packed default, cell by cell
-        packed = SuiteRunner().run(tiny_suite())
-        for left, right in zip(serial.cells, packed.cells):
+        # the serial oracle agrees with the vector default, cell by cell
+        vector = SuiteRunner().run(tiny_suite())
+        for left, right in zip(serial.cells, vector.cells):
             assert left.summary["detected"] == right.summary["detected"]
 
     def test_invalid_workers(self):
@@ -394,14 +394,15 @@ class TestPaperGridResume:
 
         # prove "simulator never invoked" mechanically, not just by
         # counters: a resumed run must survive broken engines
-        import repro.faultsim.fastsim as fastsim
+        import repro.faultsim.campaign as campaign
+        import repro.faultsim.vectorsim as vectorsim
         import repro.scenarios.engine as scenarios_engine
 
         def boom(*args, **kwargs):
             raise AssertionError("simulator invoked on a resumed run")
 
-        monkeypatch.setattr(fastsim, "decoder_campaign_packed", boom)
-        monkeypatch.setattr(fastsim, "_map_jobs", boom)
+        monkeypatch.setattr(campaign, "decoder_campaign_vector", boom)
+        monkeypatch.setattr(vectorsim, "_map_jobs", boom)
         monkeypatch.setattr(scenarios_engine, "_map_jobs", boom)
         monkeypatch.setattr(
             scenarios_engine.CampaignEngine, "_run_sharded", boom

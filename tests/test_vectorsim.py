@@ -1,7 +1,7 @@
-"""Vector (NumPy lane-array) campaign engine vs the packed and serial
-oracles: record-level bit-identity across fault kinds, collapse modes
-and window widths, lane-helper unit tests, checker-lane equivalence,
-and the NumPy-free degradation contract."""
+"""Vector (NumPy lane-array) campaign engine vs the serial oracle:
+record-level bit-identity across fault kinds, collapse modes and window
+widths, lane-helper unit tests, checker-lane equivalence against the
+bigint ``accepts_packed`` primitives, and the engine policy surface."""
 
 import random
 
@@ -23,11 +23,7 @@ from repro.faultsim.campaign import (
     scheme_campaign,
 )
 from repro.faultsim.injector import decoder_fault_list, sample_faults
-from repro.faultsim.vectorsim import (
-    CAMPAIGN_ENGINES,
-    numpy_available,
-    resolve_engine,
-)
+from repro.faultsim.vectorsim import CAMPAIGN_ENGINES, check_engine
 from repro.memory.faults import (
     CellStuckAt,
     CompositeFault,
@@ -39,14 +35,14 @@ from repro.memory.organization import MemoryOrganization
 from repro.rom.nor_matrix import CheckedDecoder
 from repro.scenarios import Workload
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="NumPy (repro[vector]) not installed"
-)
-
 #: window widths the engine must be invariant in (1 = one cycle per
 #: window, 7 = lanes straddle word boundaries, 64 = exactly one word,
 #: None = DEFAULT_WINDOW, i.e. a single window for these streams)
 CHUNKS = (1, 7, 64, None)
+
+#: live-word budgets for the fault batches: one fault per batch, then a
+#: handful, then a few dozen (the default fits these cases in one)
+BUDGETS = (1, 300, 2000)
 
 
 def record_key(result):
@@ -56,69 +52,25 @@ def record_key(result):
     ]
 
 
-# -- engine policy / NumPy-free degradation ---------------------------------
+# -- engine policy -----------------------------------------------------------
 
 
 class TestResolveEngine:
     def test_known_policies(self):
-        assert set(CAMPAIGN_ENGINES) == {
-            "packed", "serial", "vector", "auto",
-        }
-        assert resolve_engine("packed") == "packed"
-        assert resolve_engine("serial") == "serial"
+        assert CAMPAIGN_ENGINES == ("vector", "serial")
+        assert check_engine("vector") == "vector"
+        assert check_engine("serial") == "serial"
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="engine must be one of"):
-            resolve_engine("warp")
-
-    @needs_numpy
-    def test_auto_prefers_vector_when_numpy_present(self):
-        assert resolve_engine("auto") == "vector"
-        assert resolve_engine("vector") == "vector"
-
-    def test_vector_without_numpy_raises_actionable(self, monkeypatch):
-        monkeypatch.setattr(vectorsim, "np", None)
-        assert not numpy_available()
-        with pytest.raises(RuntimeError, match=r"repro\[vector\]"):
-            resolve_engine("vector")
-
-    def test_auto_without_numpy_falls_back_to_packed(self, monkeypatch):
-        monkeypatch.setattr(vectorsim, "np", None)
-        assert resolve_engine("auto") == "packed"
-
-    def test_campaign_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(vectorsim, "np", None)
-        checked = CheckedDecoder(mapping_for_code(MOutOfNCode(3, 5), 3))
-        checker = MOutOfNChecker(3, 5, structural=False)
-        faults = decoder_fault_list(checked)[:2]
-        with pytest.raises(RuntimeError, match=r"repro\[vector\]"):
-            decoder_campaign(
-                checked, checker, faults, [0, 1], engine="vector"
-            )
-
-    def test_packed_and_serial_untouched_without_numpy(self, monkeypatch):
-        # the degradation contract: a NumPy-free environment still runs
-        # the packed and serial engines bit-identically
-        monkeypatch.setattr(vectorsim, "np", None)
-        checked = CheckedDecoder(mapping_for_code(MOutOfNCode(3, 5), 3))
-        checker = MOutOfNChecker(3, 5, structural=False)
-        faults = decoder_fault_list(checked)[:6]
-        addresses = [0, 5, 2, 7, 1, 6, 3, 4] * 4
-        packed = decoder_campaign(
-            checked, checker, faults, addresses,
-            attach_analytic=False, engine="packed",
-        )
-        serial = decoder_campaign(
-            checked, checker, faults, addresses,
-            attach_analytic=False, engine="serial",
-        )
-        assert record_key(packed) == record_key(serial)
+        # the retired policies are unknown like any other name
+        for engine in ("warp", "packed", "auto"):
+            with pytest.raises(ValueError, match="engine must be one of"):
+                check_engine(engine)
 
 
 # -- lane helpers ------------------------------------------------------------
 
 
-@needs_numpy
 class TestLaneHelpers:
     def test_pack_unpack_roundtrip(self):
         import numpy as np
@@ -200,7 +152,6 @@ class _EveryOtherChecker(Checker):
         return (ones, 1 - ones)
 
 
-@needs_numpy
 class TestAcceptsLanes:
     @pytest.mark.parametrize(
         "checker",
@@ -234,7 +185,6 @@ class TestAcceptsLanes:
 # -- decoder campaigns -------------------------------------------------------
 
 
-@needs_numpy
 class TestDecoderBitIdentity:
     @pytest.fixture(scope="class")
     def workload(self):
@@ -259,16 +209,26 @@ class TestDecoderBitIdentity:
         assert record_key(vector) == record_key(serial)
 
     def test_analytic_column_matches_packed(self, workload):
-        checked, checker, faults, addresses, _ = workload
-        packed = decoder_campaign(
-            checked, checker, faults, addresses, engine="packed"
-        )
+        # the analytic escapes attached to vector records are the serial
+        # oracle's (one shared analytic_escapes table)
+        checked, checker, faults, addresses, serial = workload
         vector = decoder_campaign(
             checked, checker, faults, addresses, engine="vector"
         )
         assert [r.analytic_escape for r in vector.records] == [
-            r.analytic_escape for r in packed.records
+            r.analytic_escape for r in serial.records
         ]
+        assert any(r.analytic_escape is not None for r in vector.records)
+
+    def test_fault_batches_are_invisible(self, workload, monkeypatch):
+        # from one fault per batch (a one-word budget) to a few dozen
+        checked, checker, faults, addresses, serial = workload
+        for budget in BUDGETS:
+            monkeypatch.setattr(vectorsim, "LIVE_WORDS", budget)
+            vector = decoder_campaign(
+                checked, checker, faults, addresses, engine="vector"
+            )
+            assert record_key(vector) == record_key(serial), budget
 
     def test_chunk_must_be_positive(self, workload):
         checked, checker, faults, addresses, _ = workload
@@ -277,6 +237,36 @@ class TestDecoderBitIdentity:
                 checked, checker, faults, addresses,
                 engine="vector", chunk=0,
             )
+
+
+class TestGateOrder:
+    """Gates run in a topological order that keeps a decoder tree's
+    live width small, however many word lines it has."""
+
+    @pytest.fixture(scope="class")
+    def circuit(self):
+        mapping = mapping_for_code(MOutOfNCode(6, 13), 10)
+        return CheckedDecoder(mapping).circuit
+
+    def test_every_gate_once_after_its_inputs(self, circuit):
+        order = [step[0] for step in vectorsim._VectorCircuit(circuit).steps]
+        assert sorted(gate.index for gate in order) == list(
+            range(len(circuit.gates))
+        )
+        produced = set(circuit.input_nets)
+        for gate in order:
+            assert set(gate.inputs) <= produced
+            produced.add(gate.output)
+
+    def test_live_width_stays_small(self, circuit, monkeypatch):
+        ordered = vectorsim._VectorCircuit(circuit).live
+        # netlist order holds a whole 256-line level of the tree at once
+        monkeypatch.setattr(
+            vectorsim, "_low_pressure_order",
+            lambda circuit, wide: range(len(circuit.gates)),
+        )
+        netlist = vectorsim._VectorCircuit(circuit).live
+        assert ordered < 64 and netlist > 256
 
 
 # -- scheme campaigns --------------------------------------------------------
@@ -290,7 +280,6 @@ def _weird_writer(memory):
         memory.ram.flip_stored_bit(address, 0)
 
 
-@needs_numpy
 class TestSchemeBitIdentity:
     @pytest.fixture(scope="class", params=[(64, 8, 4), (32, 4, 8)])
     def scheme_case(self, request):
@@ -335,12 +324,12 @@ class TestSchemeBitIdentity:
     def test_vector_equals_serial_and_packed(
         self, scheme_case, collapse, chunk
     ):
+        # vector records equal the serial oracle's for every window
+        # width (chunk=None is the single, fully lane-packed window)
         serial = self._run(scheme_case, "serial", collapse=collapse)
-        packed = self._run(scheme_case, "packed", collapse=collapse)
         vector = self._run(
             scheme_case, "vector", collapse=collapse, chunk=chunk
         )
-        assert record_key(serial) == record_key(packed)
         assert record_key(serial) == record_key(vector)
 
     def test_non_code_contents_stay_identical(self, scheme_case):
@@ -373,6 +362,13 @@ class TestSchemeBitIdentity:
         )
         assert record_key(serial) == record_key(vector)
 
+    def test_fault_batches_are_invisible(self, scheme_case, monkeypatch):
+        serial = self._run(scheme_case, "serial")
+        for budget in BUDGETS:
+            monkeypatch.setattr(vectorsim, "LIVE_WORDS", budget)
+            vector = self._run(scheme_case, "vector")
+            assert record_key(vector) == record_key(serial), budget
+
     def test_memory_faults_only(self, scheme_case):
         build, _rf, _cf, mf, addresses = scheme_case
         serial = scheme_campaign(
@@ -383,6 +379,10 @@ class TestSchemeBitIdentity:
         )
         assert record_key(serial) == record_key(vector)
 
-    def test_auto_resolves_to_vector(self, scheme_case):
-        vector = self._run(scheme_case, "auto")
-        assert vector.engine == "vector"
+    def test_vector_is_the_default(self, scheme_case):
+        build, rf, cf, mf, addresses = scheme_case
+        result = scheme_campaign(
+            build(), addresses, row_faults=rf, column_faults=cf,
+            memory_faults=mf,
+        )
+        assert result.engine == "vector"
