@@ -12,8 +12,9 @@ from repro.codes.m_out_of_n import MOutOfNCode
 from repro.core.deterministic import deterministic_bounds, scan_guarantee
 from repro.core.mapping import TruncatedBergerMapping, mapping_for_code
 from repro.faultsim.campaign import decoder_campaign
-from repro.faultsim.injector import decoder_fault_list, sequential_addresses
+from repro.faultsim.injector import decoder_fault_list
 from repro.rom.nor_matrix import CheckedDecoder
+from repro.scenarios import Workload
 
 N_BITS = 5
 
@@ -32,7 +33,7 @@ def test_guarantee_dominates_measurement():
     print(f"\nscan guarantee: every decoder fault within {guarantee} cycles")
     assert guarantee == 1 << N_BITS  # slowest: s-a-0 excited once/sweep
 
-    stream = sequential_addresses(N_BITS, 2 << N_BITS)
+    stream = Workload.sequential(1 << N_BITS, 2 << N_BITS)
     result = decoder_campaign(
         checked,
         MOutOfNChecker(3, 5, structural=False),

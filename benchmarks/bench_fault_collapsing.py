@@ -35,13 +35,13 @@ def test_collapsed_campaign_matches_full_campaign():
     from repro.codes.m_out_of_n import MOutOfNCode
     from repro.core.mapping import mapping_for_code
     from repro.faultsim.campaign import decoder_campaign
-    from repro.faultsim.injector import sequential_addresses
     from repro.rom.nor_matrix import CheckedDecoder
+    from repro.scenarios import Workload
 
     mapping = mapping_for_code(MOutOfNCode(3, 5), 4)
     checked = CheckedDecoder(mapping)
     checker = MOutOfNChecker(3, 5, structural=False)
-    stream = sequential_addresses(4, 32)
+    stream = Workload.sequential(16, 32)
 
     # the full universe: stem AND pin faults (address inputs excluded —
     # out of the scheme's fault model)

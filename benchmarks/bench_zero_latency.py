@@ -12,8 +12,10 @@ from repro.codes.m_out_of_n import MOutOfNCode
 from repro.core.mapping import IdentityMapping, mapping_for_code
 from repro.decoder.analysis import analyze_decoder
 from repro.faultsim.campaign import decoder_campaign
-from repro.faultsim.injector import decoder_fault_list, sequential_addresses
+from repro.faultsim.injector import decoder_fault_list
+from repro.results import fault_id
 from repro.rom.nor_matrix import CheckedDecoder
+from repro.scenarios import Workload
 
 N_BITS = 5
 
@@ -23,7 +25,7 @@ def exhaustive_zero_latency_run(mapping, code):
     checker = MOutOfNChecker(code.m, code.n, structural=False)
     faults = decoder_fault_list(checked)
     # sweep every address twice: every fault is excited at least once
-    addresses = sequential_addresses(N_BITS, 2 << N_BITS)
+    addresses = Workload.sequential(1 << N_BITS, 2 << N_BITS)
     result = decoder_campaign(checked, checker, faults, addresses)
     return checked, result
 
@@ -59,12 +61,13 @@ def test_small_block_sa1_zero_latency():
     mapping = mapping_for_code(code, N_BITS)
     checked, result = exhaustive_zero_latency_run(mapping, code)
     analysis = analyze_decoder(checked.tree, mapping)
+    # records carry the printable fault identity
     zero_sites = {
-        s.fault.key() for s in analysis.sa1_sites if s.zero_latency
+        fault_id(s.fault) for s in analysis.sa1_sites if s.zero_latency
     }
     checked_count = 0
     for record in result.records:
-        if record.kind == "sa1" and record.fault.key() in zero_sites:
+        if record.kind == "sa1" and record.fault in zero_sites:
             if record.first_error is not None:
                 assert record.detected and record.latency == 0
                 checked_count += 1

@@ -59,13 +59,12 @@ def main() -> None:
         f"(from_store={second.from_store}, "
         f"hits={store.stats.hits}, verified={store.stats.verified})"
     )
-    assert second.to_result_set() == first.to_result_set()
+    assert second == first  # the served set equals the fresh one
 
     # -- the artifact round-trips through streaming JSONL losslessly
-    artifact = first.to_result_set()
-    text = artifact.to_jsonl()
-    assert ResultSet.from_jsonl(text) == artifact
-    provenance = artifact.provenance
+    text = first.to_jsonl()
+    assert ResultSet.from_jsonl(text) == first
+    provenance = first.provenance
     print(
         f"artifact : {len(text.splitlines())} JSONL lines; provenance "
         f"{provenance.campaign}/{provenance.engine}, "
@@ -75,13 +74,13 @@ def main() -> None:
     # -- cross-run diff: same faults, different traffic, one call
     bursty = Workload.bursty(1 << n_bits, cycles, locality=4, seed=42)
     bursty_result = engine.decoder(checked, checker, faults, bursty)
-    diff = artifact.diff(bursty_result.to_result_set())
+    diff = first.diff(bursty_result)
     print("\nuniform -> bursty traffic, record-matched diff:")
     print(diff.render())
 
     # -- the algebra: slice the stored artifact without re-simulating
-    sa1 = artifact.filter(kind="sa1")
-    late = artifact.filter(
+    sa1 = first.filter(kind="sa1")
+    late = first.filter(
         lambda r: r.detected and r.first_detection >= 10
     )
     print(
@@ -90,7 +89,7 @@ def main() -> None:
         f"cycle >= 10"
     )
     by_kind = {
-        kind: group.total for kind, group in artifact.group_by("kind").items()
+        kind: group.total for kind, group in first.group_by("kind").items()
     }
     print(f"group_by : {by_kind}")
 

@@ -49,9 +49,10 @@ def soft_error_scrubbing() -> None:
             64, 2000, scrub_period=period, seed=11
         )
         result = ENGINE.transient(BehavioralRAM(org), scenarios, workload)
+        # records come back in scenario order
         latencies = [
-            r.first_detection - r.fault.cycle
-            for r in result.records
+            r.first_detection - scenario.cycle
+            for scenario, r in zip(scenarios, result.records)
             if r.detected
         ]
         missed = result.total - result.detected
@@ -117,11 +118,8 @@ def offline_march() -> None:
     ]
     for test in (MATS_PLUS, MARCH_C_MINUS):
         result = ENGINE.march(ram, scenarios, test)
-        caught = [
-            r.fault.describe()
-            for r in result.records
-            if r.detected
-        ]
+        # record.fault is the scenario's printable identity
+        caught = [r.fault for r in result.records if r.detected]
         print(f"  {test}")
         print(
             f"    detects {result.detected}/{result.total} scenarios: "

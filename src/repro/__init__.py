@@ -21,9 +21,6 @@ Quick path (the paper's design flow, via the unified design API)::
     assert not memory.read(42).error_detected
 
 Batch exploration: ``engine.sweep(DesignSpec.grid(...), workers=4)``.
-The pre-1.1 entry points (``SelfCheckingMemory.from_requirements``,
-``select_code`` + ``from_selection``, ``design_report``) remain as thin
-shims over the same machinery.
 
 Layer map
 ---------
@@ -79,9 +76,9 @@ Campaign quick path (1.3+)::
         [TransientScenario.single(address=5, bit=2, cycle=100)],
         Workload.scrubbed(words=256, cycles=4096, scrub_period=8, seed=1),
     )
-    artifact = result.to_result_set()    # provenance-stamped, JSONL-able
-    # an identical re-run is now a verified store hit — the simulator
-    # is never invoked; inspect with `repro results ls/show/diff`
+    # result is a ResultSet: provenance-stamped, JSONL-able.  An
+    # identical re-run is now a verified store hit — the simulator is
+    # never invoked; inspect with `repro results ls/show/diff`
 
 Suite quick path (1.5+)::
 
@@ -173,7 +170,7 @@ from repro.scenarios import (
 )
 from repro.service import CampaignService, ServiceClient
 
-__version__ = "2.0.0"
+__version__ = "2.1.0"
 
 __all__ = [
     "__version__",

@@ -508,7 +508,7 @@ def _cmd_results_show(args: argparse.Namespace) -> int:
         "summary": result.summary(),
         "by_kind": {
             kind: group.summary()
-            for kind, group in sorted(result.by_kind().items())
+            for kind, group in sorted(result.group_by("kind").items())
         },
         "provenance": [p.to_dict() for p in result.provenances],
     }

@@ -29,7 +29,6 @@ from repro.core.deterministic import (
     worst_case_latency_for_site,
 )
 from repro.core.plan import MemoryCodePlan, plan_memory_codes
-from repro.core.report import design_report
 from repro.core.safety import (
     SafetyModel,
     undetectable_rate_unchecked_decoders,
@@ -80,5 +79,4 @@ __all__ = [
     "worst_case_latency_for_site",
     "MemoryCodePlan",
     "plan_memory_codes",
-    "design_report",
 ]

@@ -20,12 +20,11 @@ circuits (decoder/ROM stuck-ats) or behaviourally on the array
 The scheme can be built three ways:
 
 * ``DesignEngine.build(DesignSpec(...))`` — the canonical front door
-  (:mod:`repro.design`), which also sizes the column decoder
-  independently;
-* :meth:`SelfCheckingMemory.from_requirements` — the historical
-  shortcut for the paper's flow: give the tolerated detection latency
-  ``c`` and escape probability ``Pndc``, the code is selected per
-  §III.2 (kept as a thin shim over the same machinery);
+  (:mod:`repro.design`): give the tolerated detection latency ``c``
+  and escape probability ``Pndc``, the code is selected per §III.2,
+  and the column decoder can be sized independently;
+* :meth:`SelfCheckingMemory.from_selection` — one selected code on
+  both decoders (the tables' convention);
 * direct construction with explicit codes, for table sweeps and
   ablations.
 """
@@ -39,11 +38,7 @@ from repro.area.stdcell import StdCellAreaModel
 from repro.checkers.base import indication_valid
 from repro.checkers.parity_checker import ParityChecker
 from repro.core.mapping import AddressMapping, mapping_for_code
-from repro.core.selection import (
-    CodeSelection,
-    SelectionPolicy,
-    select_code,
-)
+from repro.core.selection import CodeSelection
 from repro.memory.organization import MemoryOrganization
 from repro.memory.ram import BehavioralRAM
 from repro.rom.nor_matrix import CheckedDecoder
@@ -128,31 +123,11 @@ class SelfCheckingMemory:
         )
         self.parity_checker = ParityChecker(organization.bits + 1)
         #: the CodeSelection this memory was sized from, when built via
-        #: from_requirements / from_selection / DesignEngine.build
+        #: from_selection / DesignEngine.build
         self.selection: Optional[CodeSelection] = None
         #: structural faults active on the row / column checked decoders
         self.row_faults: list = []
         self.column_faults: list = []
-
-    @classmethod
-    def from_requirements(
-        cls,
-        organization: MemoryOrganization,
-        c: int,
-        pndc: float,
-        policy: SelectionPolicy = SelectionPolicy.EXACT,
-        structural_checkers: bool = False,
-    ) -> "SelfCheckingMemory":
-        """The paper's flow: latency requirement in, sized scheme out.
-
-        Deprecated in favour of
-        ``repro.design.DesignEngine().build(DesignSpec(...))``, which
-        adds the zero-latency column option and JSON-able reporting.
-        """
-        selection = select_code(c, pndc, policy=policy)
-        return cls.from_selection(
-            organization, selection, structural_checkers=structural_checkers
-        )
 
     @classmethod
     def from_selection(

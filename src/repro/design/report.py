@@ -1,11 +1,9 @@
 """`DesignReport` — machine-readable outcome of one sized design.
 
-The structured counterpart of :func:`repro.core.report.design_report`:
-selection outcomes for both decoders, the guarantees they buy, the area
+Selection outcomes for both decoders, the guarantees they buy, the area
 bill under both models and the §II safety consequence — as frozen
 dataclasses with ``to_dict``/``to_json``/``from_json`` round-tripping
-plus :meth:`DesignReport.render`, the text page the legacy function now
-delegates to.
+plus :meth:`DesignReport.render`, the human-readable text page.
 """
 
 from __future__ import annotations

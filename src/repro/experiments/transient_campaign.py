@@ -105,8 +105,7 @@ def run_transient_experiment(
     for label, workload in _workloads(cycles, seed).items():
         result = driver.transient(_ram(), scenarios, workload)
         # strike cycles come from the scenario list (zip by position):
-        # store-served records carry the printable fault identity, not
-        # the live scenario object
+        # records carry the printable fault identity, not the scenario
         latencies = [
             record.first_detection - scenario.cycle
             for scenario, record in zip(scenarios, result.records)

@@ -1,4 +1,5 @@
-"""Monte-Carlo fault-injection campaigns and their result statistics.
+"""Monte-Carlo fault-injection campaigns; each returns a
+:class:`repro.results.ResultSet`.
 
 Campaigns run on one of two engines (``engine=`` on the drivers):
 ``"vector"`` — the default NumPy lane-array engine of
@@ -15,20 +16,11 @@ from repro.faultsim.campaign import (
     scheme_campaign,
 )
 from repro.faultsim.injector import (
-    burst_addresses,
     decoder_fault_list,
-    random_addresses,
     rom_fault_list,
     sample_faults,
-    sequential_addresses,
 )
-from repro.faultsim.results import CampaignResult, FaultRecord
-from repro.faultsim.transient import (
-    TransientResult,
-    TransientUpset,
-    scrubbed_stream,
-    transient_campaign,
-)
+from repro.faultsim.transient import TransientUpset
 from repro.faultsim.vectorsim import (
     CAMPAIGN_ENGINES,
     check_engine,
@@ -38,9 +30,6 @@ from repro.faultsim.vectorsim import (
 
 __all__ = [
     "TransientUpset",
-    "TransientResult",
-    "transient_campaign",
-    "scrubbed_stream",
     "CAMPAIGN_ENGINES",
     "check_engine",
     "decoder_campaign",
@@ -49,12 +38,7 @@ __all__ = [
     "scheme_campaign_vector",
     "classify_structural_fault",
     "default_scheme_writer",
-    "random_addresses",
-    "sequential_addresses",
-    "burst_addresses",
     "decoder_fault_list",
     "rom_fault_list",
     "sample_faults",
-    "CampaignResult",
-    "FaultRecord",
 ]

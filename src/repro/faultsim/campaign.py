@@ -9,7 +9,7 @@ Two levels of campaign:
   :class:`~repro.core.scheme.SelfCheckingMemory`: any fault kind, all
   three checkers observed, reads drawn from an address stream.
 
-Both return :class:`~repro.faultsim.results.CampaignResult`, whose
+Both return a :class:`~repro.results.ResultSet`, whose
 ``escape_fraction_at(c)`` is the empirical counterpart of the analytic
 ``Pndc`` — the X2 bench overlays the two.
 
@@ -32,13 +32,18 @@ from repro.checkers.base import Checker
 from repro.circuits.faults import FaultBase, NetStuckAt
 from repro.core.scheme import SelfCheckingMemory
 from repro.decoder.analysis import analyze_decoder
-from repro.faultsim.results import CampaignResult, FaultRecord
 from repro.faultsim.vectorsim import (
     check_engine,
     decoder_campaign_vector,
     scheme_campaign_vector,
 )
 from repro.memory.faults import MemoryFault
+from repro.results.resultset import (
+    Provenance,
+    ResultRecord,
+    ResultSet,
+    fault_id,
+)
 from repro.rom.nor_matrix import CheckedDecoder
 
 __all__ = [
@@ -55,6 +60,20 @@ def _address_stream(addresses) -> List[int]:
     if hasattr(addresses, "address_list"):
         return addresses.address_list()
     return list(addresses)
+
+
+def _driver_result(
+    campaign: str, engine: str, records: List[ResultRecord], cycles: int
+) -> ResultSet:
+    """A driver's records, stamped with the campaign family and engine
+    (:class:`repro.scenarios.CampaignEngine` restamps the full
+    provenance)."""
+    from repro import __version__
+
+    provenance = Provenance(
+        campaign=campaign, engine=engine, repro_version=__version__
+    )
+    return ResultSet(records, (provenance,), cycles)
 
 
 def classify_structural_fault(
@@ -104,7 +123,7 @@ def decoder_campaign(
     collapse: bool = True,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
-) -> CampaignResult:
+) -> ResultSet:
     """Simulate each fault against the address stream.
 
     Per cycle: apply the address, read the ROM word, ask the checker.
@@ -142,9 +161,7 @@ def decoder_campaign(
 
     analytic = analytic_escapes(checked) if attach_analytic else None
 
-    result = CampaignResult(
-        cycles_simulated=len(addresses), engine="serial"
-    )
+    records: List[ResultRecord] = []
     for fault in faults:
         kind = classify_structural_fault(checked, fault)
         first_error: Optional[int] = None
@@ -162,16 +179,12 @@ def decoder_campaign(
         escape = None
         if analytic is not None and isinstance(fault, NetStuckAt):
             escape = analytic.get(fault.key())
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=kind,
-                first_detection=first_detection,
-                first_error=first_error,
-                analytic_escape=escape,
+        records.append(
+            ResultRecord(
+                fault_id(fault), kind, first_detection, first_error, escape
             )
         )
-    return result
+    return _driver_result("decoder", "serial", records, len(addresses))
 
 
 def default_scheme_writer(memory: SelfCheckingMemory) -> None:
@@ -196,7 +209,7 @@ def scheme_campaign(
     collapse: bool = True,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
-) -> CampaignResult:
+) -> ResultSet:
     """End-to-end campaign on the assembled scheme.
 
     ``writer`` initialises memory contents before each fault run (default:
@@ -228,9 +241,7 @@ def scheme_campaign(
     fill = writer or default_scheme_writer
     fill(memory)
 
-    result = CampaignResult(
-        cycles_simulated=len(addresses), engine="serial"
-    )
+    records: List[ResultRecord] = []
 
     def run_one(fault, kind: str, inject: Callable[[], None]) -> None:
         memory.clear_faults()
@@ -240,13 +251,7 @@ def scheme_campaign(
             if memory.read(address).error_detected:
                 first_detection = cycle
                 break
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=kind,
-                first_detection=first_detection,
-            )
-        )
+        records.append(ResultRecord(fault_id(fault), kind, first_detection))
         memory.clear_faults()
 
     for fault in row_faults:
@@ -257,4 +262,4 @@ def scheme_campaign(
         run_one(fault, kind, lambda f=fault: memory.inject_column_fault(f))
     for fault in memory_faults:
         run_one(fault, "memory", lambda f=fault: memory.inject_memory_fault(f))
-    return result
+    return _driver_result("scheme", "serial", records, len(addresses))

@@ -1,76 +1,22 @@
-"""Stimulus generation and fault-list construction for campaigns.
+"""Fault-list construction for campaigns.
 
-The address-stream helpers are thin shims over the 1.3
-:class:`repro.scenarios.Workload` vocabulary (bit-identical traces);
-new code should build workloads directly — they compose, serialise and
-chunk-iterate, which bare lists cannot.
+Stimuli are :class:`repro.scenarios.Workload` values (``uniform``,
+``sequential``, ``bursty``, ``scrubbed``, ``march``, ...).
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from typing import List, Optional, Sequence
 
 from repro.circuits.faults import FaultBase, NetStuckAt
 from repro.rom.nor_matrix import CheckedDecoder
-from repro.scenarios.workload import Workload
 
 __all__ = [
-    "random_addresses",
-    "sequential_addresses",
-    "burst_addresses",
     "decoder_fault_list",
     "rom_fault_list",
     "sample_faults",
 ]
-
-
-def random_addresses(
-    n_bits: int, cycles: int, seed: int = 0
-) -> List[int]:
-    """Uniform i.i.d. address stream — the paper's latency model's regime.
-
-    .. deprecated:: 1.4
-        Shim over ``Workload.uniform(1 << n_bits, cycles, seed)``
-        (bit-identical trace); ``Workload`` has been canonical since
-        1.3 — construct it directly (it composes, serialises and
-        chunk-iterates, which bare lists cannot).
-    """
-    warnings.warn(
-        "random_addresses() is a 1.2-era shim; build "
-        "Workload.uniform(1 << n_bits, cycles, seed=seed) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Workload.uniform(1 << n_bits, cycles, seed=seed).address_list()
-
-
-def sequential_addresses(n_bits: int, cycles: int, start: int = 0) -> List[int]:
-    """Linear sweep (wrapping) — a marching access pattern.
-
-    Shim over ``Workload.sequential(1 << n_bits, cycles, start)``.
-    """
-    return Workload.sequential(
-        1 << n_bits, cycles, start=start
-    ).address_list()
-
-
-def burst_addresses(
-    n_bits: int,
-    cycles: int,
-    locality: int = 8,
-    seed: int = 0,
-) -> List[int]:
-    """Bursty stream: short sequential runs at random bases (cache-like).
-
-    Stresses the latency model's uniformity assumption — the empirical
-    benches show detection slows when traffic never leaves a region whose
-    addresses share a residue class.  Shim over ``Workload.bursty``.
-    """
-    return Workload.bursty(
-        1 << n_bits, cycles, locality=locality, seed=seed
-    ).address_list()
 
 
 def decoder_fault_list(

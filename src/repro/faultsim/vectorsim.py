@@ -49,7 +49,7 @@ from repro.circuits.equivalence import collapse_faults
 from repro.circuits.faults import FaultBase, NetStuckAt, PinStuckAt
 from repro.circuits.gates import GateType
 from repro.core.scheme import SelfCheckingMemory
-from repro.faultsim.results import CampaignResult, FaultRecord
+from repro.results.resultset import ResultRecord, ResultSet, fault_id
 from repro.rom.nor_matrix import CheckedDecoder
 
 __all__ = [
@@ -861,7 +861,7 @@ def decoder_campaign_vector(
     collapse: bool = True,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
-) -> CampaignResult:
+) -> ResultSet:
     """Vector counterpart of :func:`repro.faultsim.campaign.decoder_campaign`.
 
     Bit-identical records to the serial oracle; the whole
@@ -872,6 +872,7 @@ def decoder_campaign_vector(
     invariant in W).
     """
     from repro.faultsim.campaign import (
+        _driver_result,
         analytic_escapes,
         classify_structural_fault,
     )
@@ -890,24 +891,23 @@ def decoder_campaign_vector(
         workers,
     )
 
-    result = CampaignResult(
-        cycles_simulated=len(addresses), engine="vector"
-    )
+    records: List[ResultRecord] = []
     for fault in faults:
-        first_error, first_detection = outcomes[key_to_group[fault.key()]]
+        key = fault.key()
+        first_error, first_detection = outcomes[key_to_group[key]]
         escape = None
         if analytic is not None and isinstance(fault, NetStuckAt):
-            escape = analytic.get(fault.key())
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=classify_structural_fault(checked, fault),
-                first_detection=first_detection,
-                first_error=first_error,
-                analytic_escape=escape,
+            escape = analytic.get(key)
+        records.append(
+            ResultRecord(
+                fault_id(fault),
+                classify_structural_fault(checked, fault),
+                first_detection,
+                first_error,
+                escape,
             )
         )
-    return result
+    return _driver_result("decoder", "vector", records, len(addresses))
 
 
 # -- scheme campaigns --------------------------------------------------------
@@ -1279,7 +1279,7 @@ def scheme_campaign_vector(
     collapse: bool = True,
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
-) -> CampaignResult:
+) -> ResultSet:
     """Vector counterpart of :func:`repro.faultsim.campaign.scheme_campaign`.
 
     Structural row/column faults are collapsed per axis and evaluated
@@ -1289,6 +1289,7 @@ def scheme_campaign_vector(
     Bit-identical to the serial oracle.
     """
     from repro.faultsim.campaign import (
+        _driver_result,
         classify_structural_fault,
         default_scheme_writer,
     )
@@ -1325,27 +1326,24 @@ def scheme_campaign_vector(
     col_out = outcomes[len(row_reps) : len(row_reps) + len(col_reps)]
     mem_out = outcomes[len(row_reps) + len(col_reps) :]
 
-    result = CampaignResult(
-        cycles_simulated=len(addresses), engine="vector"
-    )
-    for fault in row_faults:
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=classify_structural_fault(memory.row, fault),
-                first_detection=row_out[row_groups[fault.key()]],
-            )
+    records = [
+        ResultRecord(
+            fault_id(fault),
+            classify_structural_fault(memory.row, fault),
+            row_out[row_groups[fault.key()]],
         )
-    for fault in column_faults:
-        result.add(
-            FaultRecord(
-                fault=fault,
-                kind=classify_structural_fault(memory.column, fault),
-                first_detection=col_out[col_groups[fault.key()]],
-            )
+        for fault in row_faults
+    ]
+    records += [
+        ResultRecord(
+            fault_id(fault),
+            classify_structural_fault(memory.column, fault),
+            col_out[col_groups[fault.key()]],
         )
-    for fault, first in zip(memory_faults, mem_out):
-        result.add(
-            FaultRecord(fault=fault, kind="memory", first_detection=first)
-        )
-    return result
+        for fault in column_faults
+    ]
+    records += [
+        ResultRecord(fault_id(fault), "memory", first)
+        for fault, first in zip(memory_faults, mem_out)
+    ]
+    return _driver_result("scheme", "vector", records, len(addresses))

@@ -16,7 +16,6 @@ from repro.memory.march import (
     MarchElement,
     MarchTest,
     MarchViolation,
-    march_address_stream,
     run_march,
 )
 from repro.memory.organization import (
@@ -47,5 +46,4 @@ __all__ = [
     "MARCH_X",
     "MARCH_Y",
     "run_march",
-    "march_address_stream",
 ]

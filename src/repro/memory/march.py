@@ -9,9 +9,10 @@ objects so they can serve two roles here:
 * an off-line detector for the behavioural fault models (stuck-at cells,
   data lines, coupling faults) — with the textbook coverage guarantees
   tested in the suite;
-* deterministic *address streams* for the decoder fault campaigns (a
-  sweeping address pattern exercises every decoder line, giving the
-  deterministic latency bounds of :mod:`repro.core.deterministic`).
+* deterministic *address streams* for the decoder fault campaigns,
+  compiled by ``Workload.march`` (a sweeping address pattern exercises
+  every decoder line, giving the deterministic latency bounds of
+  :mod:`repro.core.deterministic`).
 
 Notation: ⇑ ascending, ⇓ descending, ⇕ either; r0/r1 read expecting 0/1,
 w0/w1 write 0/1.  Data backgrounds are all-0s/all-1s words.
@@ -34,7 +35,6 @@ __all__ = [
     "MARCH_TESTS",
     "run_march",
     "MarchViolation",
-    "march_address_stream",
 ]
 
 
@@ -184,27 +184,3 @@ def run_march(ram: BehavioralRAM, test: MarchTest) -> List[MarchViolation]:
                             )
                         )
     return violations
-
-
-def march_address_stream(
-    test: MarchTest, words: int, reads_only: bool = False
-) -> List[int]:
-    """Flatten a march test into the address-per-cycle stream it applies.
-
-    .. deprecated:: 1.4
-        Thin shim over ``Workload.march`` (1.3+): the canonical compiled
-        form of a march test is a :class:`repro.scenarios.MarchWorkload`,
-        whose read/write accesses also drive the RAM-level march
-        campaigns; this helper keeps the pre-1.3 address-only view.
-    """
-    import warnings
-
-    warnings.warn(
-        "march_address_stream() is a 1.2-era shim; build "
-        "Workload.march(test, words, reads_only=reads_only) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.scenarios.workload import Workload
-
-    return Workload.march(test, words, reads_only=reads_only).address_list()

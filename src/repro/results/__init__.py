@@ -1,20 +1,18 @@
 """`repro.results` — the unified results & artifact API (1.4).
 
-Every campaign producer routes through this layer:
+Every campaign returns a :class:`ResultSet` (the one result type since
+2.1):
 
-* :class:`ResultSet` — provenance-stamped records with lossless
-  streaming JSONL round-trips and ``merge`` / ``filter`` / ``group_by``
-  / ``diff`` algebra (:class:`ResultSetWriter` streams producer-side);
+* :class:`ResultSet` — provenance-stamped records, the coverage and
+  detection-latency statistics, lossless streaming JSONL round-trips
+  and ``merge`` / ``filter`` / ``group_by`` / ``diff`` algebra
+  (:class:`ResultSetWriter` streams producer-side);
 * :class:`Provenance` — what produced the records: design spec,
   scenario population, workload, engine policy, repro version;
 * :class:`ResultStore` — content-addressed, hash-verified campaign
   cache keyed by :func:`campaign_key` over canonical
   ``(spec, scenarios, workload, collapse policy)`` material, with
   per-shard checkpoints for resumable ``workers=N`` campaigns.
-
-:class:`repro.faultsim.results.CampaignResult` remains the in-memory
-compatibility view; ``CampaignResult.to_result_set()`` and
-``ResultSet.to_campaign()`` convert both ways.
 """
 
 from repro.results.resultset import (

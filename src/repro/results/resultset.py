@@ -1,15 +1,16 @@
-"""`ResultSet` — the provenance-stamped, serialisable campaign artifact.
+"""`ResultSet` — the one campaign result type.
 
-The 1.4 results API: every campaign producer emits (or can be viewed
-as) a :class:`ResultSet`, whose records are plain JSON-able values —
-the fault's printable identity, its routing kind, the first-error and
-first-detection cycles — stamped with a :class:`Provenance` describing
-exactly what produced them (design spec, scenario population, workload,
-engine policy, repro version).
+Every campaign returns a :class:`ResultSet`, whose records are plain
+JSON-able values — the fault's printable identity, its routing kind,
+the first-error and first-detection cycles — stamped with a
+:class:`Provenance` describing exactly what produced them (design spec,
+scenario population, workload, engine policy, repro version).  A fresh
+run and the same campaign served from a
+:class:`~repro.results.store.ResultStore` are equal, value for value.
 
-Three properties the in-memory :class:`~repro.faultsim.results.
-CampaignResult` never had:
-
+* **statistics** — coverage, detection-cycle moments,
+  :meth:`ResultSet.escape_fraction_at` (the empirical counterpart of
+  the paper's ``Pndc``) and latency histograms;
 * **lossless streaming serialisation** — :meth:`ResultSet.write_jsonl` /
   :meth:`ResultSet.read_jsonl` round-trip records, provenance and
   summary bit-identically, one JSON line per record, so million-record
@@ -20,10 +21,6 @@ CampaignResult` never had:
   code B, workload sweeps) one-liners;
 * **content-addressability** — the canonical JSONL form is what
   :class:`repro.results.store.ResultStore` hashes and verifies.
-
-``CampaignResult`` remains the compatibility view: ``to_campaign()`` /
-``CampaignResult.to_result_set()`` convert both ways (fault objects
-flatten to their printable identity on the way in).
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import (
@@ -43,8 +41,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-from repro.results.stats import RecordStatistics
 
 __all__ = [
     "Provenance",
@@ -60,12 +56,6 @@ FORMAT_NAME = "repro-results"
 FORMAT_VERSION = 1
 
 _COMPACT = {"sort_keys": True, "separators": (",", ":")}
-
-
-def _repro_version() -> str:
-    from repro import __version__
-
-    return __version__
 
 
 def fault_id(fault: object) -> str:
@@ -132,15 +122,16 @@ class Provenance:
         return cls(**data)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ResultRecord:
     """One fault scenario's campaign outcome, fully serialisable.
 
-    The record-level counterpart of
-    :class:`~repro.faultsim.results.FaultRecord` with the live fault
-    object flattened to its printable identity; ``provenance_index``
-    points into the owning set's provenance table, so merged sets keep
-    per-record lineage.
+    ``fault`` is the printable identity (:func:`fault_id`), never the
+    live fault object; ``provenance_index`` points into the owning set's
+    provenance table, so merged sets keep per-record lineage.  Campaign
+    drivers build one record per fault, so the class is not frozen (a
+    frozen ``__init__`` costs three times as much); treat records as
+    values all the same.
     """
 
     #: printable fault identity (see :func:`fault_id`)
@@ -189,12 +180,15 @@ class ResultRecord:
 
 
 @dataclass
-class ResultSet(RecordStatistics):
-    """Provenance-stamped records + the statistics of ``stats.py``."""
+class ResultSet:
+    """Provenance-stamped records and the statistics over them."""
 
     records: List[ResultRecord] = field(default_factory=list)
     provenances: Tuple[Provenance, ...] = ()
     cycles_simulated: int = 0
+    #: True when a CampaignEngine served the set from its store instead
+    #: of simulating; how the set was obtained, not part of its value
+    from_store: bool = field(default=False, init=False, compare=False)
 
     # -- provenance access ---------------------------------------------------
 
@@ -208,10 +202,21 @@ class ResultSet(RecordStatistics):
         engines = {p.engine for p in self.provenances}
         return engines.pop() if len(engines) == 1 else None
 
+    @property
+    def store_key(self) -> Optional[str]:
+        """The content-addressed store key, when the campaign was keyed."""
+        provenance = self.provenance
+        return provenance.key if provenance is not None else None
+
     def record_provenance(self, record: ResultRecord) -> Optional[Provenance]:
         if 0 <= record.provenance_index < len(self.provenances):
             return self.provenances[record.provenance_index]
         return None
+
+    def to_result_set(self) -> "ResultSet":
+        """The set itself (campaigns have returned ``ResultSet`` since
+        2.1; kept so callers written against the 2.0 converter run)."""
+        return self
 
     # -- construction --------------------------------------------------------
 
@@ -219,60 +224,91 @@ class ResultSet(RecordStatistics):
         self.records.append(record)
 
     def _spawn(self) -> "ResultSet":
+        """An empty sibling carrying the same provenance and horizon."""
         return ResultSet(
             records=[],
             provenances=self.provenances,
             cycles_simulated=self.cycles_simulated,
         )
 
-    @classmethod
-    def from_campaign(
-        cls, result, provenance: Optional[Provenance] = None
-    ) -> "ResultSet":
-        """Flatten a :class:`CampaignResult` (fault objects become their
-        printable identity)."""
-        if provenance is None:
-            provenance = getattr(result, "provenance", None) or Provenance(
-                engine=result.engine, repro_version=_repro_version()
-            )
-        return cls(
-            records=[
-                ResultRecord(
-                    fault=fault_id(r.fault),
-                    kind=r.kind,
-                    first_detection=r.first_detection,
-                    first_error=r.first_error,
-                    analytic_escape=r.analytic_escape,
-                )
-                for r in result.records
-            ],
-            provenances=(provenance,),
-            cycles_simulated=result.cycles_simulated,
-        )
+    # -- counts --------------------------------------------------------------
 
-    def to_campaign(self):
-        """The :class:`CampaignResult` compatibility view (``fault`` is
-        the printable identity string on this path)."""
-        from repro.faultsim.results import CampaignResult, FaultRecord
+    @property
+    def total(self) -> int:
+        return len(self.records)
 
-        result = CampaignResult(
-            records=[
-                FaultRecord(
-                    fault=r.fault,
-                    kind=r.kind,
-                    first_detection=r.first_detection,
-                    first_error=r.first_error,
-                    analytic_escape=r.analytic_escape,
-                )
-                for r in self.records
-            ],
-            cycles_simulated=self.cycles_simulated,
-            engine=self.engine,
-            provenance=self.provenance,
-        )
-        if self.provenance is not None:
-            result.store_key = self.provenance.key
-        return result
+    @property
+    def detected(self) -> int:
+        return sum(1 for r in self.records if r.detected)
+
+    @property
+    def coverage(self) -> float:
+        return self.detected / self.total if self.records else 1.0
+
+    def undetected(self) -> List[ResultRecord]:
+        return [r for r in self.records if not r.detected]
+
+    # -- detection-cycle statistics ------------------------------------------
+
+    def detection_cycles(self) -> List[int]:
+        return [
+            r.first_detection
+            for r in self.records
+            if r.first_detection is not None
+        ]
+
+    def mean_detection_cycle(self) -> float:
+        """NaN when nothing was detected (see :meth:`summary` for the
+        JSON-safe ``None`` mapping)."""
+        cycles = self.detection_cycles()
+        return sum(cycles) / len(cycles) if cycles else math.nan
+
+    def max_detection_cycle(self) -> Optional[int]:
+        cycles = self.detection_cycles()
+        return max(cycles) if cycles else None
+
+    def detected_within(self, c: int) -> int:
+        """Faults detected within the first ``c`` cycles (cycle < c)."""
+        return sum(1 for cycle in self.detection_cycles() if cycle < c)
+
+    def escape_fraction_at(self, c: int) -> float:
+        """Fraction of faults still undetected after ``c`` cycles —
+        the empirical counterpart of the paper's ``Pndc`` (averaged over
+        the fault list rather than the worst site)."""
+        if not self.records:
+            return 0.0
+        return 1.0 - self.detected_within(c) / self.total
+
+    def latency_histogram(
+        self, bins: Optional[List[int]] = None
+    ) -> Dict[str, int]:
+        """Counts of first-detection cycles in ranges (for the figures)."""
+        if bins is None:
+            bins = [1, 2, 5, 10, 20, 50, 100]
+        edges = [0] + sorted(bins)
+        cycles = self.detection_cycles()
+        hist: Dict[str, int] = {}
+        for lo, hi in zip(edges, edges[1:]):
+            hist[f"[{lo},{hi})"] = sum(1 for c in cycles if lo <= c < hi)
+        last = edges[-1]
+        hist[f"[{last},inf)"] = sum(1 for c in cycles if c >= last)
+        hist["undetected"] = self.total - len(cycles)
+        return hist
+
+    def summary(self) -> Dict[str, object]:
+        """Strictly JSON-compliant: ``mean_detection_cycle`` is ``None``
+        (JSON ``null``) on zero detections, never ``NaN`` — ``NaN``
+        would make ``json.dumps`` emit non-compliant JSON."""
+        mean = self.mean_detection_cycle()
+        return {
+            "faults": self.total,
+            "detected": self.detected,
+            "coverage": round(self.coverage, 6),
+            "mean_detection_cycle": None if math.isnan(mean) else mean,
+            "max_detection_cycle": self.max_detection_cycle(),
+            "cycles_simulated": self.cycles_simulated,
+            "engine": self.engine,
+        }
 
     # -- algebra -------------------------------------------------------------
 

@@ -34,7 +34,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.results.resultset import ResultSet
 
@@ -374,24 +374,6 @@ class ResultStore:
                 os.remove(path)
                 removed = True
         return removed
-
-    def load_or_run(
-        self,
-        material: dict,
-        runner: Callable[[], ResultSet],
-        cache: bool = True,
-    ) -> Tuple[ResultSet, bool, str]:
-        """(result, was_hit, key): serve from disk when ``cache`` and the
-        key exists, otherwise run and store (a ``cache=False`` run still
-        refreshes the entry)."""
-        key = campaign_key(material)
-        if cache:
-            cached = self.get(key)
-            if cached is not None:
-                return cached, True, key
-        result = runner()
-        self.put(key, result, material)
-        return result, False, key
 
     # -- listing / resolution ------------------------------------------------
 

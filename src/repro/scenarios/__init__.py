@@ -10,11 +10,8 @@ One vocabulary drives every campaign:
   hierarchy;
 * :class:`CampaignEngine` — the facade routing any scenario family to
   the ``"vector"`` fast path or the ``"serial"`` bit-identity oracle,
-  with ``collapse`` / ``workers`` / ``chunk`` execution policy.
-
-The pre-1.3 helpers (``random_addresses``, ``scrubbed_stream``,
-``march_address_stream``, ``transient_campaign``) remain as thin shims
-over these types; see CHANGES.md for the migration table.
+  with ``collapse`` / ``workers`` / ``chunk`` execution policy; every
+  campaign returns a :class:`repro.results.ResultSet`.
 """
 
 from repro.scenarios.engine import CampaignEngine

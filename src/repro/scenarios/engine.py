@@ -45,12 +45,13 @@ from typing import (
     Union,
 )
 
-from repro.faultsim.results import CampaignResult, FaultRecord
 from repro.faultsim.transient import TransientUpset
 from repro.circuits.parallel import first_set_lane
 from repro.faultsim.vectorsim import _map_jobs, check_engine
 from repro.results import (
     Provenance,
+    ResultRecord,
+    ResultSet,
     ResultStore,
     campaign_key,
     canonical_json,
@@ -571,8 +572,10 @@ class CampaignEngine:
       simulator.  With ``workers=N`` the scenario-list campaigns
       (:meth:`decoder`, :meth:`transient`, :meth:`march`) additionally
       checkpoint per shard, so an interrupted campaign resumes from its
-      completed shards.  Results served from the store carry the
-      printable fault identity (a string) in ``record.fault``.
+      completed shards.  A result served from the store equals the
+      fresh one value for value (``record.fault`` is always the
+      printable identity string); only ``from_store`` tells them
+      apart.
     * ``cache`` — ``False`` skips the lookup but still refreshes the
       store entry (the CLI's ``--no-cache``).
 
@@ -691,38 +694,35 @@ class CampaignEngine:
         family: str,
         material_fn: Callable[[], dict],
         scenarios: List,
-        runner: Callable[[List], CampaignResult],
+        runner: Callable[[List], ResultSet],
         workload: Optional[Workload] = None,
         shardable: bool = False,
         spec: Optional[dict] = None,
         storable: bool = True,
-    ) -> CampaignResult:
+    ) -> ResultSet:
         """Run (or serve) one campaign under the artifact policy.
 
         ``runner(subset)`` simulates a scenario subset and returns its
-        :class:`CampaignResult` in subset order — the contract the
+        :class:`ResultSet` in subset order — the contract the
         shard-resume path relies on.  ``material_fn`` builds the key
         material lazily: store-less runs never pay for target/scenario
-        digests.
+        digests.  The set is stamped with this run's provenance and
+        stored as it is, so a fresh result equals the one a later run
+        is served.
         """
         if self.store is None or not storable:
             result = runner(scenarios)
-            result.provenance = self._provenance(
-                family, workload, len(scenarios), spec=spec
+            result.provenances = (
+                self._provenance(family, workload, len(scenarios), spec=spec),
             )
             return result
         material = material_fn()
         key = campaign_key(material)
-        provenance = self._provenance(
-            family, workload, len(scenarios),
-            material=material, key=key, spec=spec,
-        )
         if self._reads_store:
             cached = self.store.get(key)
             if cached is not None:
-                view = cached.to_campaign()
-                view.from_store = True
-                return view
+                cached.from_store = True
+                return cached
         if (
             shardable
             and self.workers is not None
@@ -735,9 +735,13 @@ class CampaignEngine:
         else:
             result = runner(scenarios)
             shard_keys = []
-        result.provenance = provenance
-        result.store_key = key
-        self.store.put(key, result.to_result_set(provenance), material)
+        result.provenances = (
+            self._provenance(
+                family, workload, len(scenarios),
+                material=material, key=key, spec=spec,
+            ),
+        )
+        self.store.put(key, result, material)
         # the full entry supersedes the per-shard checkpoints — prune
         # them so the store holds one entry per completed campaign
         for shard_key in shard_keys:
@@ -749,16 +753,15 @@ class CampaignEngine:
         family: str,
         material: dict,
         scenarios: List,
-        runner: Callable[[List], CampaignResult],
+        runner: Callable[[List], ResultSet],
         workload: Optional[Workload],
         spec: Optional[dict],
-    ) -> Tuple[CampaignResult, List[str]]:
+    ) -> Tuple[ResultSet, List[str]]:
         """Per-shard checkpointing: each of ``workers`` contiguous
         scenario shards is stored under its own sub-key as it completes,
         so a re-run after an interruption only simulates the shards that
-        never finished.  Records come back through the serialised form
-        uniformly, so resumed and fresh shards carry the same printable
-        fault identity.
+        never finished.  The shard sets concatenate in scenario order;
+        the caller stamps the whole campaign's provenance.
         """
         shard_count = min(self.workers, len(scenarios))
         base, remainder = divmod(len(scenarios), shard_count)
@@ -768,7 +771,7 @@ class CampaignEngine:
             size = base + (1 if index < remainder else 0)
             shards.append(scenarios[cursor : cursor + size])
             cursor += size
-        parts: List[CampaignResult] = []
+        parts: List[ResultSet] = []
         shard_keys: List[str] = []
         for index, shard in enumerate(shards):
             shard_material = dict(material)
@@ -779,26 +782,24 @@ class CampaignEngine:
                 self.store.get(shard_key) if self._reads_store else None
             )
             if cached is not None:
-                parts.append(cached.to_campaign())
+                parts.append(cached)
                 continue
             part = runner(shard)
-            shard_provenance = self._provenance(
-                family, workload, len(shard),
-                material=shard_material, key=shard_key, spec=spec,
+            part.provenances = (
+                self._provenance(
+                    family, workload, len(shard),
+                    material=shard_material, key=shard_key, spec=spec,
+                ),
             )
-            shard_set = part.to_result_set(shard_provenance)
-            self.store.put(shard_key, shard_set, shard_material)
-            parts.append(shard_set.to_campaign())
-        return (
-            CampaignResult(
-                records=[
-                    record for part in parts for record in part.records
-                ],
-                cycles_simulated=parts[0].cycles_simulated,
-                engine=self.engine,
-            ),
-            shard_keys,
+            self.store.put(shard_key, part, shard_material)
+            parts.append(part)
+        # every shard set has a single provenance, so each record's
+        # provenance index is 0 and stays valid in the merged set
+        merged = ResultSet(
+            [record for part in parts for record in part.records],
+            cycles_simulated=parts[0].cycles_simulated,
         )
+        return merged, shard_keys
 
     # -- structural campaigns ------------------------------------------------
 
@@ -810,7 +811,7 @@ class CampaignEngine:
         workload: Union[Workload, Sequence[int]],
         attach_analytic: bool = True,
         spec: Optional[dict] = None,
-    ) -> CampaignResult:
+    ) -> ResultSet:
         """Stuck-at campaign on a checked decoder (see
         :func:`repro.faultsim.campaign.decoder_campaign`).
 
@@ -826,7 +827,7 @@ class CampaignEngine:
             for s in faults
         ]
 
-        def run(subset: List) -> CampaignResult:
+        def run(subset: List) -> ResultSet:
             return decoder_campaign(
                 checked,
                 checker,
@@ -862,7 +863,7 @@ class CampaignEngine:
         workload: Union[Workload, Sequence[int]],
         scenarios: Iterable = (),
         writer=None,
-    ) -> CampaignResult:
+    ) -> ResultSet:
         """End-to-end campaign on a self-checking memory, scenarios
         routed by kind (structural axis faults, behavioural memory
         faults) — see :func:`repro.faultsim.campaign.scheme_campaign`."""
@@ -892,7 +893,7 @@ class CampaignEngine:
         # (unshardable) runner both speak that canonical order
         ordered = row_scenarios + column_scenarios + memory_scenarios
 
-        def run(subset: List) -> CampaignResult:
+        def run(subset: List) -> ResultSet:
             return scheme_campaign(
                 memory,
                 workload,
@@ -938,7 +939,7 @@ class CampaignEngine:
         ram: BehavioralRAM,
         scenarios: Iterable,
         workload: Union[Workload, Sequence[int]],
-    ) -> CampaignResult:
+    ) -> ResultSet:
         """Single-event-upset campaign on a parity-protected RAM.
 
         Per scenario the RAM starts as a fault-free all-zero fill; the
@@ -967,28 +968,23 @@ class CampaignEngine:
             normalized.append(scenario)
         _validate_transient(ram, normalized)
 
-        def run(subset: List[TransientScenario]) -> CampaignResult:
+        def run(subset: List[TransientScenario]) -> ResultSet:
             outcomes = _map_jobs(
                 _transient_worker,
                 (ram, workload, self.engine, self.chunk),
                 subset,
                 self.workers,
             )
-            result = CampaignResult(
-                cycles_simulated=len(workload), engine=self.engine
-            )
-            for scenario, (first_error, first_detection) in zip(
-                subset, outcomes
-            ):
-                result.add(
-                    FaultRecord(
-                        fault=scenario,
-                        kind="transient",
-                        first_detection=first_detection,
-                        first_error=first_error,
-                    )
+            records = [
+                ResultRecord(
+                    fault_id(scenario), "transient",
+                    first_detection, first_error,
                 )
-            return result
+                for scenario, (first_error, first_detection) in zip(
+                    subset, outcomes
+                )
+            ]
+            return ResultSet(records, cycles_simulated=len(workload))
 
         def material():
             return self._material(
@@ -1010,7 +1006,7 @@ class CampaignEngine:
         ram: BehavioralRAM,
         scenarios: Iterable,
         test: MarchTest,
-    ) -> CampaignResult:
+    ) -> ResultSet:
         """March-test detection campaign over behavioural fault scenarios.
 
         Each scenario runs the full march from a fresh all-zero array;
@@ -1031,25 +1027,18 @@ class CampaignEngine:
                 )
             normalized.append(scenario)
 
-        def run(subset: List[MemoryScenario]) -> CampaignResult:
+        def run(subset: List[MemoryScenario]) -> ResultSet:
             outcomes = _map_jobs(
                 _march_worker,
                 (ram, workload, self.engine),
                 subset,
                 self.workers,
             )
-            result = CampaignResult(
-                cycles_simulated=len(workload), engine=self.engine
-            )
-            for scenario, first_detection in zip(subset, outcomes):
-                result.add(
-                    FaultRecord(
-                        fault=scenario,
-                        kind="memory",
-                        first_detection=first_detection,
-                    )
-                )
-            return result
+            records = [
+                ResultRecord(fault_id(scenario), "memory", first_detection)
+                for scenario, first_detection in zip(subset, outcomes)
+            ]
+            return ResultSet(records, cycles_simulated=len(workload))
 
         def material():
             return self._material(

@@ -1,11 +1,7 @@
 """`Workload` — the one stimulus vocabulary every campaign speaks.
 
-Before 1.3 each campaign family had its own incompatible notion of an
-address stream: :func:`repro.faultsim.injector.random_addresses`,
-:func:`repro.faultsim.transient.scrubbed_stream` and
-:func:`repro.memory.march.march_address_stream` all returned bare
-``List[int]``\\ s with different parameterisations.  A :class:`Workload`
-replaces all three (the old helpers survive as thin shims):
+Random, sequential, bursty, scrubbed and march traffic are all
+:class:`Workload` values, not bare ``List[int]`` address streams:
 
 * **seeded** — every stochastic generator takes an explicit ``seed`` and
   re-derives its RNG on each iteration, so the same workload value
@@ -20,11 +16,6 @@ replaces all three (the old helpers survive as thin shims):
 * **read/write aware** — accesses carry an operation and a background
   bit, so RAM-level campaigns (march, transient) and decoder-level
   campaigns (address-only) draw from the same object.
-
-Every generator from the pre-1.3 helpers is reproduced bit-for-bit:
-``Workload.uniform(1 << n, cycles, seed).address_list()`` equals the old
-``random_addresses(n, cycles, seed)``, and likewise for sequential,
-bursty, scrubbed and march streams (the shim tests pin this).
 """
 
 from __future__ import annotations

@@ -43,6 +43,11 @@ JSONL_TYPE = "application/x-ndjson"
 #: built-in paper_grid SuiteSpec takes about 16 KB of indented JSON
 MAX_BODY_BYTES = 1 << 20
 
+#: seconds a connection may sit idle in one socket read (request line,
+#: headers or body) before the server drops it, so a client that sends
+#: less body than its ``Content-Length`` cannot pin a handler thread
+REQUEST_TIMEOUT_S = 30.0
+
 Response = Tuple[int, str, bytes]
 
 
@@ -174,7 +179,8 @@ def make_server(
     router (``port=0`` binds an ephemeral port — read it back from
     ``server.server_address``).  A POST whose ``Content-Length`` is not
     a non-negative integer gets a 400, one over
-    :data:`MAX_BODY_BYTES` a 413; neither body is read."""
+    :data:`MAX_BODY_BYTES` a 413; neither body is read.  A connection
+    idle for :data:`REQUEST_TIMEOUT_S` in one read is dropped."""
     from repro import __version__
 
     router = Router(service)
@@ -182,6 +188,9 @@ def make_server(
     class Handler(BaseHTTPRequestHandler):
         server_version = f"repro-serve/{__version__}"
         protocol_version = "HTTP/1.1"
+        # the stdlib handler applies it to the socket and closes the
+        # connection when a read times out
+        timeout = REQUEST_TIMEOUT_S
 
         def log_message(self, format: str, *args) -> None:
             if not quiet:

@@ -14,10 +14,15 @@ from repro.core.mapping import (
     mapping_for_code,
 )
 from repro.core.plan import plan_memory_codes
-from repro.core.report import design_report
 from repro.core.selection import SelectionPolicy
 from repro.decoder.tree import DecoderTree
+from repro.design import DesignEngine, DesignSpec
 from repro.memory.organization import MemoryOrganization, paper_org
+
+
+def design_page(organization, **requirements):
+    spec = DesignSpec.for_organization(organization, **requirements)
+    return DesignEngine().evaluate(spec).render()
 
 
 class TestWorstCaseLatency:
@@ -98,16 +103,14 @@ class TestScanGuarantee:
         # the bound must dominate a measured sweep campaign
         from repro.checkers.m_out_of_n_checker import MOutOfNChecker
         from repro.faultsim.campaign import decoder_campaign
-        from repro.faultsim.injector import (
-            decoder_fault_list,
-            sequential_addresses,
-        )
+        from repro.faultsim.injector import decoder_fault_list
         from repro.rom.nor_matrix import CheckedDecoder
+        from repro.scenarios import Workload
 
         mapping = mapping_for_code(MOutOfNCode(3, 5), 4)
         checked = CheckedDecoder(mapping)
         guarantee = scan_guarantee(checked.tree, mapping)
-        stream = sequential_addresses(4, 2 * 16)
+        stream = Workload.sequential(16, 2 * 16)
         result = decoder_campaign(
             checked,
             MOutOfNChecker(3, 5, structural=False),
@@ -159,7 +162,7 @@ class TestMemoryCodePlan:
 class TestDesignReport:
     def test_report_contains_key_sections(self):
         org = MemoryOrganization(2048, 16, column_mux=8)
-        text = design_report(org, c=10, pndc=1e-9)
+        text = design_page(org, c=10, pndc=1e-9)
         for token in (
             "16x2K",
             "3-out-of-5",
@@ -173,14 +176,12 @@ class TestDesignReport:
 
     def test_report_with_shared_column(self):
         org = MemoryOrganization(2048, 16, column_mux=8)
-        text = design_report(
-            org, c=10, pndc=1e-9, column_zero_latency=False
-        )
+        text = design_page(org, c=10, pndc=1e-9, column_zero_latency=False)
         assert "mapping 'mod'" in text
 
     def test_report_approximate_policy(self):
         org = MemoryOrganization(2048, 16, column_mux=8)
-        text = design_report(
+        text = design_page(
             org, c=10, pndc=1e-20, policy=SelectionPolicy.APPROXIMATE
         )
         assert "MISSES" in text  # the documented 1e-20 inconsistency

@@ -17,8 +17,11 @@ def memory():
 
 class TestConstruction:
     def test_from_requirements(self):
+        from repro.design import DesignEngine, DesignSpec
+
         org = MemoryOrganization(words=64, bits=8, column_mux=4)
-        memory = SelfCheckingMemory.from_requirements(org, c=10, pndc=1e-9)
+        spec = DesignSpec.for_organization(org, c=10, pndc=1e-9)
+        memory = DesignEngine().build(spec)
         assert memory.row.mapping.code.name == "3-out-of-5"
         assert memory.row.n == org.p
         assert memory.column.n == org.s

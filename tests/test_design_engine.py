@@ -3,7 +3,6 @@ entry points (the API-redesign acceptance criteria)."""
 
 import pytest
 
-from repro.core.report import design_report
 from repro.core.scheme import SelfCheckingMemory
 from repro.core.selection import SelectionPolicy, select_code
 from repro.design.engine import DesignEngine
@@ -12,6 +11,21 @@ from repro.design.spec import DesignSpec
 from repro.memory.organization import PAPER_ORGS, MemoryOrganization
 
 REQUIREMENTS = [(2, 1e-9), (10, 1e-9), (10, 1e-15)]
+
+
+def legacy_page(organization, c, pndc):
+    """The page the pre-2.1 text-report wrapper rendered for
+    ``(org, c, pndc)``, its defaults spelled out: exact selection,
+    zero-latency column, 1e-5 faults/h, decoder area fraction 0.1."""
+    spec = DesignSpec.for_organization(
+        organization,
+        c=c,
+        pndc=pndc,
+        policy=SelectionPolicy.EXACT,
+        column_zero_latency=True,
+    )
+    legacy = DesignEngine(fault_rate_per_hour=1e-5, decoder_area_fraction=0.1)
+    return legacy.evaluate(spec).render()
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +53,9 @@ class TestBuild:
             words=64, bits=8, column_mux=4, column_zero_latency=False
         )
         via_engine = engine.build(spec)
-        legacy = SelfCheckingMemory.from_requirements(
-            MemoryOrganization(64, 8, 4), c=spec.c, pndc=spec.pndc
+        # what the removed requirements-to-memory shortcut built
+        legacy = SelfCheckingMemory.from_selection(
+            MemoryOrganization(64, 8, 4), select_code(spec.c, spec.pndc)
         )
         assert (
             via_engine.row.mapping.table() == legacy.row.mapping.table()
@@ -83,10 +98,14 @@ class TestEvaluate:
     @pytest.mark.parametrize("req", REQUIREMENTS, ids=str)
     def test_render_matches_legacy_design_report(self, engine, org, req):
         c, pndc = req
-        spec = DesignSpec.for_organization(org, c=c, pndc=pndc)
-        assert engine.evaluate(spec).render() == design_report(
-            org, c, pndc
+        spec = DesignSpec(
+            words=org.words,
+            bits=org.bits,
+            column_mux=org.column_mux,
+            c=c,
+            pndc=pndc,
         )
+        assert engine.evaluate(spec).render() == legacy_page(org, c, pndc)
 
     def test_selection_fields_match_select_code(self, engine):
         spec = DesignSpec(words=2048, bits=16, c=10, pndc=1e-9)
@@ -113,13 +132,13 @@ class TestEvaluate:
 
 class TestSweep:
     def test_grid_acceptance(self, engine):
-        """PAPER_ORGS x 3 requirements: reports match design_report."""
+        """PAPER_ORGS x 3 requirements: reports match the legacy page."""
         specs = DesignSpec.grid(PAPER_ORGS, REQUIREMENTS)
         reports = engine.sweep(specs, workers=4)
         assert len(reports) == 9
         for spec, report in zip(specs, reports):
             assert report.spec == spec  # order preserved
-            assert report.render() == design_report(
+            assert report.render() == legacy_page(
                 spec.organization, spec.c, spec.pndc
             )
             assert DesignReport.from_json(report.to_json()) == report

@@ -36,11 +36,9 @@ from repro.faultsim.vectorsim import (
     _VectorCircuit,
 )
 from repro.faultsim.injector import (
-    burst_addresses,
     decoder_fault_list,
     rom_fault_list,
     sample_faults,
-    sequential_addresses,
 )
 from repro.memory.faults import (
     CellStuckAt,
@@ -54,8 +52,7 @@ from repro.scenarios import Workload
 
 
 def _uniform_addresses(n_bits, cycles, seed=0):
-    """Uniform stimulus via the canonical Workload (the pre-1.4
-    random_addresses shim now warns)."""
+    """Uniform stimulus via the canonical Workload."""
     return Workload.uniform(1 << n_bits, cycles, seed=seed).address_list()
 
 
@@ -210,8 +207,10 @@ class TestDecoderCampaignEquivalence:
     @pytest.mark.parametrize(
         "stream_factory",
         [
-            lambda: sequential_addresses(4, 48),
-            lambda: burst_addresses(4, 64, locality=4, seed=2),
+            lambda: Workload.sequential(16, 48).address_list(),
+            lambda: Workload.bursty(
+                16, 64, locality=4, seed=2
+            ).address_list(),
             lambda: [3] * 32,  # pathological: one address repeated
         ],
     )

@@ -12,16 +12,13 @@ from repro.faultsim.campaign import (
     scheme_campaign,
 )
 from repro.faultsim.injector import (
-    burst_addresses,
     decoder_fault_list,
-    random_addresses,
     rom_fault_list,
     sample_faults,
-    sequential_addresses,
 )
-from repro.faultsim.results import CampaignResult, FaultRecord
 from repro.memory.faults import CellStuckAt
 from repro.memory.organization import MemoryOrganization
+from repro.results import ResultRecord, ResultSet
 from repro.rom.nor_matrix import CheckedDecoder
 from repro.scenarios import Workload
 
@@ -40,29 +37,24 @@ def checker35():
     return MOutOfNChecker(3, 5, structural=False)
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestInjector:
-    def test_1_2_stream_shims_warn_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="Workload.uniform"):
-            random_addresses(4, 10, seed=1)
-
     def test_random_addresses_deterministic(self):
-        assert random_addresses(4, 10, seed=1) == random_addresses(
+        assert _uniform_addresses(4, 10, seed=1) == _uniform_addresses(
             4, 10, seed=1
         )
-        assert random_addresses(4, 10, seed=1) != random_addresses(
+        assert _uniform_addresses(4, 10, seed=1) != _uniform_addresses(
             4, 10, seed=2
         )
 
     def test_random_addresses_in_range(self):
-        assert all(0 <= a < 16 for a in random_addresses(4, 200))
+        assert all(0 <= a < 16 for a in _uniform_addresses(4, 200))
 
     def test_sequential_wraps(self):
-        assert sequential_addresses(2, 6) == [0, 1, 2, 3, 0, 1]
-        assert sequential_addresses(2, 3, start=2) == [2, 3, 0]
+        assert Workload.sequential(4, 6).address_list() == [0, 1, 2, 3, 0, 1]
+        assert Workload.sequential(4, 3, start=2).address_list() == [2, 3, 0]
 
     def test_burst_length_and_range(self):
-        stream = burst_addresses(4, 50, locality=4, seed=0)
+        stream = Workload.bursty(16, 50, locality=4, seed=0).address_list()
         assert len(stream) == 50
         assert all(0 <= a < 16 for a in stream)
 
@@ -172,10 +164,10 @@ class TestSchemeCampaign:
 
 class TestResults:
     def make_result(self):
-        result = CampaignResult(cycles_simulated=100)
-        result.add(FaultRecord("f1", "sa1", first_detection=0))
-        result.add(FaultRecord("f2", "sa1", first_detection=7))
-        result.add(FaultRecord("f3", "sa0", first_detection=None))
+        result = ResultSet(cycles_simulated=100)
+        result.add(ResultRecord("f1", "sa1", first_detection=0))
+        result.add(ResultRecord("f2", "sa1", first_detection=7))
+        result.add(ResultRecord("f3", "sa0", first_detection=None))
         return result
 
     def test_aggregates(self):
@@ -198,7 +190,7 @@ class TestResults:
         assert hist["undetected"] == 1
 
     def test_by_kind(self):
-        groups = self.make_result().by_kind()
+        groups = self.make_result().group_by("kind")
         assert set(groups) == {"sa0", "sa1"}
         assert groups["sa1"].total == 2
 
@@ -207,7 +199,7 @@ class TestResults:
         assert {"faults", "detected", "coverage"} <= set(summary)
 
     def test_latency_requires_first_error(self):
-        record = FaultRecord("f", "sa1", first_detection=4, first_error=2)
+        record = ResultRecord("f", "sa1", first_detection=4, first_error=2)
         assert record.latency == 2
-        record = FaultRecord("f", "sa1", first_detection=4)
+        record = ResultRecord("f", "sa1", first_detection=4)
         assert record.latency is None

@@ -12,11 +12,11 @@ from repro.memory.march import (
     MATS_PLUS,
     MarchElement,
     MarchTest,
-    march_address_stream,
     run_march,
 )
 from repro.memory.organization import MemoryOrganization
 from repro.memory.ram import BehavioralRAM
+from repro.scenarios import Workload
 
 
 def make_ram():
@@ -173,24 +173,23 @@ class TestWriteTriggeredCoupling:
                 assert record.detected == bool(run_march(ram, test))
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestAddressStream:
-    def test_shim_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="Workload.march"):
-            march_address_stream(MATS_PLUS, 4)
+def march_stream(test, words, reads_only=False):
+    return Workload.march(test, words, reads_only=reads_only).address_list()
 
+
+class TestAddressStream:
     def test_stream_length(self):
         words = 8
-        stream = march_address_stream(MATS_PLUS, words)
+        stream = march_stream(MATS_PLUS, words)
         assert len(stream) == MATS_PLUS.complexity * words
 
     def test_reads_only_filter(self):
-        stream = march_address_stream(MATS_PLUS, 4, reads_only=True)
+        stream = march_stream(MATS_PLUS, 4, reads_only=True)
         # w0 element contributes nothing; two r/w elements -> 1 read each
         assert len(stream) == 8
 
     def test_descending_elements_reverse(self):
-        stream = march_address_stream(
+        stream = march_stream(
             MarchTest("t", (MarchElement("-", ("r0",)),)), 4
         )
         assert stream == [3, 2, 1, 0]
@@ -204,7 +203,7 @@ class TestAddressStream:
         from repro.rom.nor_matrix import CheckedDecoder
 
         checked = CheckedDecoder(mapping_for_code(MOutOfNCode(3, 5), 5))
-        stream = march_address_stream(MARCH_C_MINUS, 32)
+        stream = march_stream(MARCH_C_MINUS, 32)
         result = decoder_campaign(
             checked,
             MOutOfNChecker(3, 5, structural=False),

@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,13 +15,13 @@ from repro.core.mapping import ModAMapping
 from repro.memory.march import (
     MARCH_C_MINUS,
     MATS_PLUS,
-    march_address_stream,
     run_march,
 )
 from repro.memory.faults import CellStuckAt
 from repro.memory.organization import MemoryOrganization
 from repro.memory.ram import BehavioralRAM
 from repro.rom.nor_matrix import NORMatrix
+from repro.scenarios import Workload
 
 
 def _random_circuit(rng_choices, inputs=3):
@@ -150,11 +148,10 @@ class TestMarchProperties:
         ram.inject(CellStuckAt(address, bit, value))
         assert run_march(ram, MARCH_C_MINUS)
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     @given(st.sampled_from([MATS_PLUS, MARCH_C_MINUS]))
     @settings(max_examples=10)
     def test_stream_length_is_complexity_times_words(self, test):
         words = 16
-        stream = march_address_stream(test, words)
+        stream = Workload.march(test, words).address_list()
         assert len(stream) == test.complexity * words
         assert all(0 <= a < words for a in stream)

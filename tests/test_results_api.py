@@ -1,10 +1,9 @@
-"""The 1.4 results API: ResultSet round-trips, algebra, statistics.
+"""The results API: ResultSet round-trips, algebra, statistics.
 
 Covers the acceptance property of the results redesign — ResultSet ->
 JSONL -> ResultSet is bit-identical (records, provenance, summary) for
-decoder, scheme, transient and march campaigns — plus the shared
-statistics edge cases on both containers (CampaignResult stays a thin
-view over the same machinery).
+decoder, scheme, transient and march campaigns — plus the statistics
+edge cases, on a set a campaign driver stamped and on a bare one.
 """
 
 import io
@@ -19,7 +18,6 @@ from repro.core.mapping import mapping_for_code
 from repro.core.scheme import SelfCheckingMemory
 from repro.core.selection import select_code
 from repro.faultsim.injector import decoder_fault_list, sample_faults
-from repro.faultsim.results import CampaignResult, FaultRecord
 from repro.memory.faults import CellStuckAt
 from repro.memory.march import MARCH_C_MINUS
 from repro.memory.organization import MemoryOrganization
@@ -29,7 +27,6 @@ from repro.results import (
     ResultRecord,
     ResultSet,
     ResultSetWriter,
-    fault_id,
 )
 from repro.rom.nor_matrix import CheckedDecoder
 from repro.scenarios import (
@@ -106,8 +103,10 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("family", sorted(CAMPAIGNS))
     def test_jsonl_round_trip_is_bit_identical(self, family):
-        result = CAMPAIGNS[family]()
-        artifact = result.to_result_set()
+        artifact = CAMPAIGNS[family]()
+        assert isinstance(artifact, ResultSet)
+        assert artifact.to_result_set() is artifact
+        assert all(isinstance(r.fault, str) for r in artifact.records)
         assert artifact.provenance is not None
         assert artifact.provenance.campaign == family
 
@@ -121,7 +120,7 @@ class TestRoundTrip:
         assert restored.to_jsonl() == text
 
     def test_round_trip_through_file_and_stream(self, tmp_path):
-        artifact = run_decoder_campaign().to_result_set()
+        artifact = run_decoder_campaign()
         path = tmp_path / "campaign.jsonl"
         artifact.write_jsonl(path)
         assert ResultSet.read_jsonl(path) == artifact
@@ -130,7 +129,7 @@ class TestRoundTrip:
         assert ResultSet.from_jsonl(buffer.getvalue()) == artifact
 
     def test_streaming_writer_matches_batch_serialisation(self, tmp_path):
-        artifact = run_transient_campaign().to_result_set()
+        artifact = run_transient_campaign()
         path = tmp_path / "streamed.jsonl"
         with ResultSetWriter(
             path, artifact.provenances, artifact.cycles_simulated
@@ -146,24 +145,10 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="empty"):
             ResultSet.from_jsonl("")
 
-    def test_campaign_view_round_trip(self):
-        result = run_march_campaign()
-        artifact = result.to_result_set()
-        view = artifact.to_campaign()
-        assert isinstance(view, CampaignResult)
-        assert [(r.kind, r.first_detection) for r in view.records] == [
-            (r.kind, r.first_detection) for r in result.records
-        ]
-        # fault identity is preserved through its printable form
-        assert [str(r.fault) for r in view.records] == [
-            fault_id(r.fault) for r in result.records
-        ]
-        assert view.summary() == artifact.summary()
-
 
 class TestProvenance:
     def test_every_record_knows_its_provenance(self):
-        artifact = run_transient_campaign().to_result_set()
+        artifact = run_transient_campaign()
         for record in artifact.records:
             provenance = artifact.record_provenance(record)
             assert provenance.campaign == "transient"
@@ -220,7 +205,7 @@ class TestAlgebra:
         assert merged.record_provenance(merged.records[2]) == other
 
     def test_filter_by_kind_detected_and_predicate(self):
-        artifact = run_decoder_campaign().to_result_set()
+        artifact = run_decoder_campaign()
         sa1 = artifact.filter(kind="sa1")
         assert sa1.total > 0
         assert all(r.kind == "sa1" for r in sa1.records)
@@ -234,7 +219,7 @@ class TestAlgebra:
         assert sa1.provenances == artifact.provenances
 
     def test_group_by_field_and_callable(self):
-        artifact = run_decoder_campaign().to_result_set()
+        artifact = run_decoder_campaign()
         by_kind = artifact.group_by("kind")
         assert sum(g.total for g in by_kind.values()) == artifact.total
         by_parity = artifact.group_by(
@@ -243,8 +228,8 @@ class TestAlgebra:
         assert set(by_parity) <= {0, 1}
 
     def test_diff_identical_runs(self):
-        left = run_march_campaign().to_result_set()
-        right = run_march_campaign().to_result_set()
+        left = run_march_campaign()
+        right = run_march_campaign()
         diff = left.diff(right)
         assert diff.identical
         assert diff.matched == left.total
@@ -273,12 +258,8 @@ class TestAlgebra:
         assert left.diff(self.make([("dup", 1), ("dup", 2)])).identical
 
     def test_diff_cross_engine_is_identical(self):
-        vector = run_transient_campaign(
-            CampaignEngine(engine="vector")
-        ).to_result_set()
-        serial = run_transient_campaign(
-            CampaignEngine(engine="serial")
-        ).to_result_set()
+        vector = run_transient_campaign(CampaignEngine(engine="vector"))
+        serial = run_transient_campaign(CampaignEngine(engine="serial"))
         assert vector.diff(serial).identical
 
 
@@ -288,15 +269,18 @@ class TestAlgebra:
 )
 class TestStatisticsEdgeCases:
     """Satellite coverage: latency_histogram custom bins and
-    escape_fraction_at edge cases, identical on both containers."""
+    escape_fraction_at edge cases, identical on a set stamped and built
+    record by record the way a campaign driver builds it, and on a bare
+    set."""
 
     def build(self, container, outcomes):
         if container == "campaign":
-            result = CampaignResult(cycles_simulated=50)
+            result = ResultSet(
+                provenances=(Provenance(campaign="decoder", engine="serial"),),
+                cycles_simulated=50,
+            )
             for index, detection in enumerate(outcomes):
-                result.add(
-                    FaultRecord(f"f{index}", "sa1", detection)
-                )
+                result.add(ResultRecord(f"f{index}", "sa1", detection))
             return result
         return ResultSet(
             records=[
@@ -350,8 +334,8 @@ class TestSummaryJsonSafety:
     detections."""
 
     def test_zero_detection_summary_is_null_not_nan(self):
-        result = CampaignResult(cycles_simulated=10)
-        result.add(FaultRecord("f", "sa1", None))
+        result = ResultSet(cycles_simulated=10)
+        result.add(ResultRecord("f", "sa1", None))
         summary = result.summary()
         assert summary["mean_detection_cycle"] is None
         # strict parse: json.loads with NaN forbidden must accept it
@@ -363,10 +347,12 @@ class TestSummaryJsonSafety:
         assert "NaN" not in text
 
     def test_resultset_summary_matches(self):
-        result = CampaignResult(cycles_simulated=10)
-        result.add(FaultRecord("f", "sa1", None))
-        assert result.to_result_set().summary() == result.summary()
+        """The stored (JSONL) form reports the same summary."""
+        result = ResultSet(cycles_simulated=10)
+        result.add(ResultRecord("f", "sa1", None))
+        restored = ResultSet.from_jsonl(result.to_jsonl())
+        assert restored.summary() == result.summary()
 
     def test_mean_detection_cycle_stays_nan_for_api_compat(self):
-        result = CampaignResult()
+        result = ResultSet()
         assert math.isnan(result.mean_detection_cycle())

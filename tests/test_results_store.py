@@ -35,6 +35,7 @@ from repro.scenarios import (
 
 from test_results_api import (
     CAMPAIGNS,
+    run_decoder_campaign,
     run_transient_campaign,
 )
 
@@ -154,20 +155,6 @@ class TestStoreBasics:
         assert not store.contains(key)
         assert not store.delete(key)
 
-    def test_load_or_run(self, tmp_path):
-        store = ResultStore(tmp_path)
-        calls = []
-
-        def runner():
-            calls.append(1)
-            return sample_set()
-
-        material = {"campaign": "x"}
-        first, hit, key = store.load_or_run(material, runner)
-        second, hit2, key2 = store.load_or_run(material, runner)
-        assert (hit, hit2, key) == (False, True, key2)
-        assert first == second and len(calls) == 1
-
 
 def _racing_put(root, key, barrier):
     """Module-level so a child process can run it: one racing writer."""
@@ -279,7 +266,7 @@ class TestEngineCaching:
         _break_simulators(monkeypatch)
         second = CAMPAIGNS[family](CampaignEngine(store=store))
         assert second.from_store
-        assert second.to_result_set() == first.to_result_set()
+        assert second == first
         assert second.summary() == first.summary()
 
     def test_policy_change_misses(self, tmp_path):
@@ -301,7 +288,7 @@ class TestEngineCaching:
         )
         assert not oracle.from_store
         assert oracle.store_key == first.store_key
-        assert oracle.to_result_set().records == first.to_result_set().records
+        assert oracle.records == first.records
         assert store.stats.puts == 2 and store.stats.hits == 0
         # a vector re-run is a verified hit on the serial artifact
         again = run_transient_campaign(CampaignEngine(store=store))
@@ -355,6 +342,42 @@ class TestEngineCaching:
         assert store.stats.puts == 0
         # provenance is still stamped on uncached runs
         assert result.provenance.campaign == "scheme"
+
+
+FRESH_SERVED_CASES = {
+    "decoder": lambda store: run_decoder_campaign(
+        CampaignEngine(store=store)
+    ),
+    "scheme": lambda store: CAMPAIGNS["scheme"](CampaignEngine(store=store)),
+    "transient": lambda store: run_transient_campaign(
+        CampaignEngine(store=store)
+    ),
+    "march": lambda store: CAMPAIGNS["march"](CampaignEngine(store=store)),
+    "decoder-workers2": lambda store: run_decoder_campaign(
+        CampaignEngine(store=store, workers=2)
+    ),
+}
+
+
+class TestFreshEqualsServed:
+    """A fresh campaign and the same campaign served from the store are
+    one value: same records, provenance and summary, and every record's
+    fault is its printable identity on both paths."""
+
+    @pytest.mark.parametrize("case", sorted(FRESH_SERVED_CASES))
+    def test_cold_run_equals_warm_hit(self, case, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        cold = FRESH_SERVED_CASES[case](store)
+        warm = FRESH_SERVED_CASES[case](store)
+        assert (cold.from_store, warm.from_store) == (False, True)
+        assert warm.records == cold.records
+        assert warm.provenances == cold.provenances
+        assert warm.provenance is not None
+        assert warm.summary() == cold.summary()
+        assert warm == cold
+        for result in (cold, warm):
+            assert isinstance(result, ResultSet)
+            assert all(isinstance(r.fault, str) for r in result.records)
 
 
 class TestShardResume:
@@ -420,8 +443,7 @@ class TestShardResume:
         assert len(resumed_calls) == 3
         assert not resumed.from_store  # re-assembled, not full-key hit
         clean = self.run(ResultStore(tmp_path / "clean"))
-        assert resumed.to_result_set().records == \
-            clean.to_result_set().records
+        assert resumed.records == clean.records
 
     def test_partially_resumed_records_have_uniform_identity(
         self, tmp_path, monkeypatch
@@ -640,6 +662,17 @@ class TestResultsCli:
         )
         assert payload["summary"]["detected"] == 0
         assert payload["summary"]["mean_detection_cycle"] is None
+        assert payload["by_kind"] == {
+            "transient": {
+                "faults": 1,
+                "detected": 0,
+                "coverage": 0.0,
+                "mean_detection_cycle": None,
+                "max_detection_cycle": None,
+                "cycles_simulated": 3,
+                "engine": "vector",
+            }
+        }
 
     def test_diff_exit_codes(self, tmp_path, capsys):
         store_root, detected_key, silent_key = self.populate(tmp_path)

@@ -8,6 +8,7 @@ server."""
 
 import http.client
 import json
+import socket
 import threading
 import urllib.parse
 
@@ -20,6 +21,7 @@ from repro.service import (
     ServiceError,
     serving,
 )
+from repro.service import handlers
 from repro.service.handlers import MAX_BODY_BYTES
 
 from test_suite import tiny_suite
@@ -233,3 +235,23 @@ class TestRequestBodies:
             )
             assert status == 400
             assert "malformed JSON" in payload["error"]
+
+    def test_stalled_body_is_dropped_after_the_timeout(
+        self, service, monkeypatch
+    ):
+        # a client declares 100 bytes and sends 10: the handler gives up
+        # on the rest after the read timeout and closes the connection
+        monkeypatch.setattr(handlers, "REQUEST_TIMEOUT_S", 0.5)
+        with serving(service) as url:
+            parts = urllib.parse.urlsplit(url)
+            with socket.create_connection(
+                (parts.hostname, parts.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    b"POST /suites HTTP/1.1\r\n"
+                    b"Host: localhost\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: 100\r\n\r\n" + b"{" * 10
+                )
+                assert sock.recv(1024) == b""  # closed, no response
+            assert ServiceClient(url).health()["status"] == "ok"
