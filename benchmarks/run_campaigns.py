@@ -244,7 +244,7 @@ def bench_scheme_c1m(
 
 
 def bench_transient(words: int, cycles: int, seed: int) -> dict:
-    """Transient-upset campaign on a scrubbed workload: the lane-mask
+    """Transient-upset campaign on a scrubbed workload: the event-walk
     backend vs the per-cycle serial oracle (one upset per pair of
     addresses, parity-protected RAM, n = log2(words) address bits)."""
     org = MemoryOrganization(words, 8, column_mux=8)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import abc
 from typing import Sequence, Tuple
 
+from repro.circuits.parallel import judge_lanes
+
 __all__ = ["Checker", "indication_valid"]
 
 
@@ -46,31 +48,27 @@ class Checker(abc.ABC):
         """Convenience: True iff the indication is valid (word accepted)."""
         return indication_valid(self.indication(word))
 
-    def _validate_packed(self, packed_word: Sequence[int]) -> None:
-        """Arity guard shared by every ``accepts_packed`` implementation."""
-        if len(packed_word) != self.input_width:
+    def _check_lane_columns(self, columns: Sequence) -> None:
+        """Arity guard shared by every ``accepts_lanes`` implementation."""
+        if len(columns) != self.input_width:
             raise ValueError(
-                f"expected {self.input_width} packed bit columns, "
-                f"got {len(packed_word)}"
+                f"expected {self.input_width} lane columns, "
+                f"got {len(columns)}"
             )
 
-    def accepts_packed(
-        self, packed_word: Sequence[int], num_lanes: int
-    ) -> int:
-        """Lane-parallel acceptance over bit-packed observations.
+    def accepts_lanes(self, columns: Sequence, mask):
+        """Lane-parallel acceptance over lane words.
 
-        ``packed_word[b] >> k & 1`` is bit ``b`` of the word observed in
-        lane ``k`` (the :mod:`repro.circuits.parallel` convention);
-        returns a lane-word whose bit ``k`` is 1 iff that lane's word is
-        accepted.  This generic implementation unpacks and defers to
-        :meth:`accepts`, so every checker — including plugins — is
-        packed-campaign compatible; the built-in checkers override it
-        with lane-wise bit tricks that never unpack.
+        ``columns[b]`` is a (W,) or (F, W) ``uint64`` array carrying bit
+        ``b`` of the observed words, one word per lane (the
+        :mod:`repro.circuits.parallel` convention: lane ``k`` of word
+        ``j`` is observation ``64*j + k``); ``mask`` is the (W,) word
+        array of valid lanes.  Returns lane words set where that lane's
+        word is accepted.  This generic implementation unpacks the
+        lanes and judges each distinct word once with :meth:`accepts`,
+        so every checker, plugins included, runs in lane campaigns; the
+        built-in checkers override it with array reductions that never
+        unpack.
         """
-        self._validate_packed(packed_word)
-        acc = 0
-        for lane in range(num_lanes):
-            word = tuple((column >> lane) & 1 for column in packed_word)
-            if self.accepts(word):
-                acc |= 1 << lane
-        return acc
+        self._check_lane_columns(columns)
+        return judge_lanes(columns, mask, self.accepts)

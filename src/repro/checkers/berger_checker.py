@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.checkers.base import Checker
-from repro.circuits.parallel import popcount_lanes
+from repro.circuits.parallel import popcount_slices
 from repro.codes.berger import BergerCode
 
 __all__ = ["BergerChecker"]
@@ -43,9 +45,10 @@ class BergerChecker(Checker):
         ok = self.code.is_codeword(tuple(word))
         return (1, 0) if ok else (1, 1)
 
-    def accepts_packed(
-        self, packed_word: Sequence[int], num_lanes: int
-    ) -> int:
+    def __repr__(self) -> str:
+        return f"BergerChecker({self.code.info_bits} info bits)"
+
+    def accepts_lanes(self, columns, mask):
         """Lanes where the check field equals the information zero count.
 
         Carry-save popcount of the complemented information columns
@@ -53,17 +56,17 @@ class BergerChecker(Checker):
         already bit-sliced (MSB-first columns), so acceptance is a
         lane-wise equality of the two without unpacking.
         """
-        self._validate_packed(packed_word)
-        mask = (1 << num_lanes) - 1
-        info = packed_word[: self.code.info_bits]
-        check = packed_word[self.code.info_bits :]
-        zeros = popcount_lanes([~column & mask for column in info], mask)
+        self._check_lane_columns(columns)
+        shape = columns[0].shape
+        info = columns[: self.code.info_bits]
+        check = columns[self.code.info_bits :]
+        zeros = popcount_slices([~word & mask for word in info], mask)
         width = len(check)
-        acc = mask
+        acc = np.array(np.broadcast_to(mask, shape))
         for j in range(width):  # zero count always fits in the field
-            counted = zeros[j] if j < len(zeros) else 0
+            counted = zeros[j] if j < len(zeros) else np.uint64(0)
             stored = check[width - 1 - j]  # check field is MSB-first
-            acc &= ~(counted ^ stored) & mask
+            acc = acc & (~(counted ^ stored) & mask)
         return acc
 
     def gate_count_estimate(self) -> int:

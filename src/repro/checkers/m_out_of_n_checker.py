@@ -23,7 +23,7 @@ from typing import List, Sequence, Tuple
 from repro.checkers.base import Checker
 from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
-from repro.circuits.parallel import lanes_equal_const, popcount_lanes
+from repro.circuits.parallel import lanes_equal_const, popcount_slices
 
 __all__ = ["MOutOfNChecker", "build_sorting_network", "build_bitonic_sorter"]
 
@@ -108,19 +108,16 @@ class MOutOfNChecker(Checker):
         weight = sum(word)
         return (1 if weight >= self.m else 0, 1 if weight >= self.m + 1 else 0)
 
-    def accepts_packed(
-        self, packed_word: Sequence[int], num_lanes: int
-    ) -> int:
+    def accepts_lanes(self, columns, mask):
         """Lanes with weight exactly ``m``, via carry-save popcount.
 
         The sorting network computes exact weight thresholds, so this
         matches the structural realisation on *every* input word, not
         just code words (verified exhaustively by the test suite).
         """
-        self._validate_packed(packed_word)
-        mask = (1 << num_lanes) - 1
-        slices = popcount_lanes(packed_word, mask)
-        return lanes_equal_const(slices, self.m, mask)
+        self._check_lane_columns(columns)
+        slices = popcount_slices(columns, mask)
+        return lanes_equal_const(slices, self.m, mask, columns[0].shape)
 
     def gate_count(self) -> int:
         """Gates in the structural realisation (feeds the area model)."""

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.checkers.base import Checker
 from repro.circuits.builders import xor_tree
 from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
-from repro.circuits.parallel import xor_fold_lanes
 
 __all__ = ["ParityChecker"]
 
@@ -63,16 +64,20 @@ class ParityChecker(Checker):
         z1, z2 = self.circuit.evaluate(list(word))
         return z1, z2
 
-    def accepts_packed(
-        self, packed_word: Sequence[int], num_lanes: int
-    ) -> int:
+    def __repr__(self) -> str:
+        parity = "even" if self.even else "odd"
+        return f"ParityChecker({self.input_width} bits, {parity})"
+
+    def accepts_lanes(self, columns, mask):
         """Lanes with the accepted total parity, via one XOR fold.
 
         The two-group construction accepts exactly the words of even
-        (resp. odd) total parity, so the packed form is a lane-wise
+        (resp. odd) total parity, so the lane form is a lane-wise
         parity of all observed columns.
         """
-        self._validate_packed(packed_word)
-        mask = (1 << num_lanes) - 1
-        fold = xor_fold_lanes(packed_word) & mask
+        self._check_lane_columns(columns)
+        fold = np.zeros(columns[0].shape, dtype=np.uint64)
+        for word in columns:
+            fold = fold ^ word
+        fold = fold & mask
         return ~fold & mask if self.even else fold

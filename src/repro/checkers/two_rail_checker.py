@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.checkers.base import Checker
 from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
@@ -101,20 +103,18 @@ class TwoRailChecker(Checker):
         z1, z2 = self.circuit.evaluate(list(word))
         return z1, z2
 
-    def accepts_packed(
-        self, packed_word: Sequence[int], num_lanes: int
-    ) -> int:
+    def __repr__(self) -> str:
+        return f"TwoRailChecker({self.pairs}-pair)"
+
+    def accepts_lanes(self, columns, mask):
         """Lanes where every rail pair is complementary.
 
         The TRC cell is code-disjoint, so the tree accepts exactly the
         words whose pairs are all complementary: a lane-wise AND over
         per-pair XORs, no unpacking.
         """
-        self._validate_packed(packed_word)
-        mask = (1 << num_lanes) - 1
-        acc = mask
+        self._check_lane_columns(columns)
+        acc = np.array(np.broadcast_to(mask, columns[0].shape))
         for i in range(self.pairs):
-            acc &= packed_word[2 * i] ^ packed_word[2 * i + 1]
-            if not acc:
-                break
+            acc = acc & (columns[2 * i] ^ columns[2 * i + 1])
         return acc & mask

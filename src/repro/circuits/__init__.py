@@ -20,16 +20,6 @@ from repro.circuits.faults import (
 )
 from repro.circuits.gates import GATE_ARITY, GateType, evaluate_gate
 from repro.circuits.netlist import Circuit, Gate
-from repro.circuits.parallel import (
-    evaluate_packed,
-    first_set_lane,
-    lanes_equal_const,
-    pack_stimuli,
-    packed_rom_words,
-    popcount_lanes,
-    unpack_outputs,
-    xor_fold_lanes,
-)
 from repro.circuits.simulator import (
     coverage,
     detects,
@@ -59,12 +49,4 @@ __all__ = [
     "FaultClasses",
     "collapse_faults",
     "representative_faults",
-    "evaluate_packed",
-    "pack_stimuli",
-    "packed_rom_words",
-    "unpack_outputs",
-    "popcount_lanes",
-    "lanes_equal_const",
-    "xor_fold_lanes",
-    "first_set_lane",
 ]

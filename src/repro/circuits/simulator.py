@@ -1,31 +1,34 @@
 """Fault-simulation driver over a :class:`~repro.circuits.netlist.Circuit`.
 
 Fault simulation over explicit stimulus lists.  Every entry point takes
-an ``engine`` argument:
+an ``engine`` argument, one of :data:`ENGINES` — the same two the
+campaign layer runs:
 
-* ``"packed"`` (default) — bit-parallel: the stimulus list is packed
-  once (lane ``k`` = stimulus ``k``) and each fault costs **one**
-  netlist traversal (:func:`repro.circuits.parallel.evaluate_packed`)
-  instead of one per stimulus;
-* ``"serial"`` — the original per-stimulus loops, kept as the reference
-  oracle (the test suite proves the engines agree).
-
-:func:`coverage` additionally caches the golden packed responses once
-per stimulus list and shares them across the whole fault loop, so
-unexcited faults are disposed of with a handful of word compares.
+* ``"vector"`` (default) — the stimulus list is packed once into lane
+  words (lane ``k`` = stimulus ``k``) and evaluated on
+  :class:`repro.circuits.parallel.VectorCircuit`: one netlist traversal
+  per fault, or per fault batch in :func:`coverage`, instead of one per
+  stimulus;
+* ``"serial"`` — per-stimulus loops over
+  :meth:`~repro.circuits.netlist.Circuit.evaluate`, kept as the
+  reference oracle (the test suite proves the engines agree).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.circuits.faults import FaultBase
 from repro.circuits.netlist import Circuit
 from repro.circuits.parallel import (
-    evaluate_packed,
-    first_set_lane,
-    pack_stimuli,
-    unpack_outputs,
+    VectorCircuit,
+    first_set_lanes,
+    judge_lanes,
+    lane_mask,
+    pack_bool,
+    unpack_lanes,
 )
 
 __all__ = [
@@ -37,30 +40,76 @@ __all__ = [
     "coverage",
 ]
 
-#: the two simulation engines every campaign/simulation driver accepts
-ENGINES = ("packed", "serial")
+#: the engines every simulation and campaign driver accepts: the lane
+#: fast path and the serial oracle
+ENGINES = ("vector", "serial")
 
 
-def check_engine(engine: str) -> None:
-    """Validate an ``engine=`` argument (shared by all drivers)."""
+def check_engine(engine: str) -> str:
+    """Validate an ``engine=`` argument (shared by all drivers); returns
+    it unchanged."""
     if engine not in ENGINES:
         raise ValueError(
             f"engine must be one of {ENGINES}, got {engine!r}"
         )
+    return engine
+
+
+def _stimulus_lanes(circuit: Circuit, stimuli: Sequence[Sequence[int]]):
+    """(evaluator, fault-free net table, lane mask) for a non-empty
+    stimulus list, validated as :meth:`Circuit.evaluate` validates one
+    stimulus."""
+    bits = np.asarray(stimuli)
+    width = len(circuit.input_nets)
+    if bits.ndim != 2 or bits.shape[1] != width:
+        raise ValueError(
+            f"expected {width} input values per stimulus, got shape "
+            f"{bits.shape}"
+        )
+    if not np.isin(bits, (0, 1)).all():
+        raise ValueError("input bits must be 0/1")
+    mask = lane_mask(len(bits))
+    sim = VectorCircuit(circuit)
+    return sim, sim.golden(pack_bool(bits.T), mask), mask
+
+
+def _fault_outputs(sim: VectorCircuit, table, faults, mask) -> List:
+    """One (F, W) lane matrix per circuit output, row ``f`` = fault
+    ``faults[f]``."""
+    shape = (len(faults),) + mask.shape
+    rows: Dict[int, object] = {}
+
+    def consume(net, words):
+        rows[net] = np.broadcast_to(words, shape)
+
+    sim.evaluate(table, faults, mask, consume)
+    return [rows[net] for net in sim.circuit.output_nets]
+
+
+def _first_rejections(
+    outputs, mask, checker: Callable[[Tuple[int, ...]], bool]
+) -> List[Optional[int]]:
+    """Per fault row, the first lane whose response ``checker`` rejects."""
+    rejected = ~judge_lanes(outputs, mask, checker) & mask
+    return [
+        None if lane < 0 else lane
+        for lane in first_set_lanes(rejected).tolist()
+    ]
 
 
 def fault_free_responses(
     circuit: Circuit,
     stimuli: Iterable[Sequence[int]],
-    engine: str = "packed",
+    engine: str = "vector",
 ) -> List[Tuple[int, ...]]:
-    """Golden responses for a stimulus list (one packed pass)."""
+    """Golden responses for a stimulus list (one lane pass)."""
     check_engine(engine)
     stimuli = list(stimuli)
     if engine == "serial" or not stimuli:
         return [circuit.evaluate(vec) for vec in stimuli]
-    packed, lanes = pack_stimuli(stimuli)
-    return unpack_outputs(evaluate_packed(circuit, packed, lanes), lanes)
+    _, table, _ = _stimulus_lanes(circuit, stimuli)
+    bits = unpack_lanes(table[list(circuit.output_nets)], len(stimuli))
+    return list(map(tuple, bits.T.astype(np.uint8).tolist()))
 
 
 def first_difference(
@@ -68,7 +117,7 @@ def first_difference(
     fault: FaultBase,
     stimuli: Sequence[Sequence[int]],
     golden: Optional[Sequence[Tuple[int, ...]]] = None,
-    engine: str = "packed",
+    engine: str = "vector",
 ) -> Optional[int]:
     """Index of the first stimulus whose response differs under ``fault``.
 
@@ -81,6 +130,11 @@ def first_difference(
     many faults over one stimulus list, so it is computed once.
     """
     check_engine(engine)
+    if golden is not None and len(golden) != len(stimuli):
+        raise ValueError(
+            f"golden has {len(golden)} responses for "
+            f"{len(stimuli)} stimuli"
+        )
     if engine == "serial":
         if golden is None:
             golden = fault_free_responses(circuit, stimuli, engine=engine)
@@ -90,21 +144,18 @@ def first_difference(
         return None
     if not stimuli:
         return None
-    packed, lanes = pack_stimuli(stimuli)
+    sim, table, mask = _stimulus_lanes(circuit, stimuli)
     if golden is None:
-        golden_words = evaluate_packed(circuit, packed, lanes)
+        expected = table[list(circuit.output_nets)]
     else:
-        if len(golden) != len(stimuli):
-            raise ValueError(
-                f"golden has {len(golden)} responses for "
-                f"{len(stimuli)} stimuli"
-            )
-        golden_words, _ = pack_stimuli(golden)
-    faulty = evaluate_packed(circuit, packed, lanes, faults=(fault,))
-    diff = 0
-    for faulty_word, golden_word in zip(faulty, golden_words):
-        diff |= faulty_word ^ golden_word
-    return first_set_lane(diff)
+        expected = pack_bool(np.asarray(golden).T)
+    diff = np.zeros((1,) + mask.shape, dtype=np.uint64)
+    for faulty, want in zip(
+        _fault_outputs(sim, table, [fault], mask), expected
+    ):
+        diff |= faulty ^ want
+    first = int(first_set_lanes(diff)[0])
+    return None if first < 0 else first
 
 
 def detects(
@@ -112,7 +163,7 @@ def detects(
     fault: FaultBase,
     stimuli: Sequence[Sequence[int]],
     checker: Callable[[Tuple[int, ...]], bool],
-    engine: str = "packed",
+    engine: str = "vector",
 ) -> Optional[int]:
     """First stimulus index where the faulty response violates ``checker``.
 
@@ -121,10 +172,10 @@ def detects(
     is a code word (``checker`` returns True for code words).  Returns the
     cycle index of first detection, or None.
 
-    The packed engine runs one traversal for all stimuli, then judges the
-    unpacked responses in order (``checker`` is an arbitrary callable;
-    for packed judgement without unpacking use a
-    :class:`repro.checkers.base.Checker` and its ``accepts_packed``).
+    The vector engine runs one traversal for all stimuli, then judges
+    each distinct faulty response once (``checker`` must be a pure
+    predicate; a :class:`repro.checkers.base.Checker` judges lane words
+    directly with ``accepts_lanes``).
     """
     check_engine(engine)
     if engine == "serial":
@@ -135,12 +186,10 @@ def detects(
         return None
     if not stimuli:
         return None
-    packed, lanes = pack_stimuli(stimuli)
-    outputs = evaluate_packed(circuit, packed, lanes, faults=(fault,))
-    for idx, response in enumerate(unpack_outputs(outputs, lanes)):
-        if not checker(response):
-            return idx
-    return None
+    sim, table, mask = _stimulus_lanes(circuit, stimuli)
+    return _first_rejections(
+        _fault_outputs(sim, table, [fault], mask), mask, checker
+    )[0]
 
 
 def coverage(
@@ -148,59 +197,37 @@ def coverage(
     faults: Sequence[FaultBase],
     stimuli: Sequence[Sequence[int]],
     checker: Callable[[Tuple[int, ...]], bool],
-    engine: str = "packed",
+    engine: str = "vector",
 ) -> Dict[str, object]:
     """Concurrent-detection coverage of a fault list over a stimulus stream.
 
     Returns a summary dict with per-fault first-detection cycles, the list
-    of undetected faults, and the coverage ratio.
+    of undetected faults, and the coverage ratio.  Counts are per list
+    entry: a fault listed twice counts twice in ``total``, ``detected``
+    and ``undetected`` alike, so ``detected + len(undetected) == total``.
 
-    The packed engine packs the stimuli and computes the golden packed
-    responses **once per stimulus list**; a fault whose packed responses
-    equal the golden words is judged from the (cached) golden detection
-    outcome without re-running the checker loop.
+    The vector engine packs the stimuli and runs the fault-free pass
+    once, then evaluates the distinct faults in batches through one
+    :class:`~repro.circuits.parallel.VectorCircuit`.
     """
     check_engine(engine)
-    first_detect: Dict[FaultBase, Optional[int]] = {}
+    distinct = list(dict.fromkeys(faults))
+    firsts: List[Optional[int]] = []
     if engine == "serial" or not stimuli:
-        for fault in faults:
-            first_detect[fault] = detects(
-                circuit, fault, stimuli, checker, engine="serial"
+        for fault in distinct:
+            firsts.append(
+                detects(circuit, fault, stimuli, checker, engine="serial")
             )
     else:
-        packed, lanes = pack_stimuli(stimuli)
-        golden_words = evaluate_packed(circuit, packed, lanes)
-        golden_outcome: Dict[str, Optional[int]] = {}
-
-        def golden_detection() -> Optional[int]:
-            # what the checker says about the fault-free stream, computed
-            # at most once and shared by every unexcited fault
-            if "value" not in golden_outcome:
-                outcome = None
-                for idx, response in enumerate(
-                    unpack_outputs(golden_words, lanes)
-                ):
-                    if not checker(response):
-                        outcome = idx
-                        break
-                golden_outcome["value"] = outcome
-            return golden_outcome["value"]
-
-        for fault in faults:
-            outputs = evaluate_packed(
-                circuit, packed, lanes, faults=(fault,)
+        sim, table, mask = _stimulus_lanes(circuit, stimuli)
+        for part in sim.batches(len(distinct), mask.shape[0]):
+            firsts += _first_rejections(
+                _fault_outputs(sim, table, distinct[part], mask),
+                mask,
+                checker,
             )
-            if outputs == golden_words:
-                first_detect[fault] = golden_detection()
-                continue
-            found = None
-            for idx, response in enumerate(unpack_outputs(outputs, lanes)):
-                if not checker(response):
-                    found = idx
-                    break
-            first_detect[fault] = found
-
-    undetected = [f for f, cyc in first_detect.items() if cyc is None]
+    first_detect = dict(zip(distinct, firsts))
+    undetected = [f for f in faults if first_detect[f] is None]
     detected = len(faults) - len(undetected)
     return {
         "total": len(faults),

@@ -10,8 +10,8 @@ write-triggered coupling in both address orders, while MATS+ (5N)
 provably misses the aggressor-above-victim CFid.
 
 Campaigns run through :meth:`repro.scenarios.CampaignEngine.march`
-(``engine="vector"`` compiles the march to read/write lane masks;
-``engine="serial"`` replays per operation).
+(``engine="vector"`` compiles the march to per-address event lists
+and first-read lookups; ``engine="serial"`` replays per operation).
 
 Run: ``python -m repro.experiments.march_campaign``
 """

@@ -9,8 +9,8 @@ one word escaping the single parity bit entirely (error observed, never
 detected) — the known limit SEC-DED exists for.
 
 Campaigns run through :class:`repro.scenarios.CampaignEngine`
-(``engine="vector"`` default: upsets as time-varying lane masks;
-``engine="serial"`` is the per-cycle oracle).
+(``engine="vector"`` default: a walk over each victim word's upsets
+and writes; ``engine="serial"`` is the per-cycle oracle).
 
 Run: ``python -m repro.experiments.transient_campaign``
 """

@@ -12,7 +12,8 @@ uniform, sequential and scrubbed access streams.
 The campaign driver is :meth:`repro.scenarios.CampaignEngine.transient`
 — seeded :class:`~repro.scenarios.workload.Workload` stimuli,
 :class:`~repro.scenarios.faults.TransientScenario` fault values
-(including multi-upset combinations), a packed lane-mask backend proven
+(including multi-upset combinations), a backend that walks each victim
+word's upsets and writes and bisects for its reads, proven
 bit-identical to the serial oracle, and ``workers=N`` sharding.
 """
 

@@ -5,35 +5,33 @@ is the one fast path of every campaign family and ``engine="serial"``
 the per-cycle oracle it is proven bit-identical against: decoder and
 scheme campaigns delegate to :mod:`repro.faultsim` (NumPy lane-array
 engine / serial loops), while **transient** and **march** campaigns
-run their packed lane-mask backends here:
+run sparse event walks here, which need no lane sets at all:
 
-* *Transient upsets as time-varying lane masks.*  With lane ``k`` =
-  cycle ``k``, an upset at cycle ``c`` is an XOR mask on the lanes
-  ``>= c`` of its victim word.  Per victim address the engine walks the
-  sparse event list (upsets toggling bits, workload writes resetting the
-  word) and emits, per constant-state segment, two lane words:
-  erroneous-read lanes (victim reads while any flip is live) and
-  detected lanes (victim reads while the flipped word is outside the
-  parity code).  ``first_error``/``first_detection`` fall out as lowest
-  set bits — no per-cycle simulation, and multi-upset scenarios whose
-  second flip restores parity are costed exactly (error without
-  detection).
+* *Transient upsets as event segments.*  One pass over the trace
+  collects each victim address's read cycles and writes.  Per victim
+  the engine walks its events in cycle order — upsets toggling bits,
+  workload writes storing a fresh code word — and in each segment with
+  live flips bisects for the first victim read: that read is an error,
+  and a detection when the flipped word is outside the parity code.
+  No per-cycle simulation, and multi-upset scenarios whose second flip
+  restores parity are costed exactly (error without detection).
 
-* *March sequences as packed read/write lane streams.*  A march test
-  compiles (via :class:`~repro.scenarios.workload.MarchWorkload`) into
-  per-background read masks, per-address read occupancy words and
-  sparse per-address event lists; each built-in behavioural fault class
-  then resolves to a handful of word operations (e.g. a cell stuck-at
-  ``v`` violates exactly the victim's reads expecting ``1-v``).
-  Unknown fault classes fall back to the serial replay, so the facade
-  is total.
+* *March sequences as compiled lookups.*  A march test compiles (via
+  :class:`~repro.scenarios.workload.MarchWorkload`) into per-address
+  event lists plus the first read of each background, overall and per
+  mux column; each built-in behavioural fault class then resolves to a
+  lookup or a short event walk (e.g. a cell stuck-at ``v`` violates
+  the victim's first read expecting ``1-v``).  Unknown fault classes
+  fall back to the serial replay, so the facade is total.
 
-Both lane-mask paths are proven bit-identical to the serial oracle
+Both event paths are proven bit-identical to the serial oracle
 record-by-record; the serial loops remain the reference semantics.
 """
 
 from __future__ import annotations
 
+import bisect
+import sys
 from typing import (
     Callable,
     Dict,
@@ -46,7 +44,6 @@ from typing import (
 )
 
 from repro.faultsim.transient import TransientUpset
-from repro.circuits.parallel import first_set_lane
 from repro.faultsim.vectorsim import _map_jobs, check_engine
 from repro.results import (
     Provenance,
@@ -102,20 +99,13 @@ def _background_words(ram: BehavioralRAM) -> Dict[int, Tuple[int, ...]]:
     return words
 
 
-def _lane_range(lo: int, hi: int) -> int:
-    """Lane word with bits [lo, hi) set (clamped at 0)."""
-    if hi <= lo:
-        return 0
-    return ((1 << hi) - 1) ^ ((1 << lo) - 1) if lo > 0 else (1 << hi) - 1
-
-
 # -- transient backend -------------------------------------------------------
 
 
 def _require_fault_free(ram: BehavioralRAM, campaign: str) -> None:
     """Campaigns own the RAM's fault state: a pre-injected behavioural
-    fault would be honoured by the serial replay but not by the packed
-    lane algebra — refuse rather than silently diverge."""
+    fault would be honoured by the serial replay but not by the event
+    walks — refuse rather than silently diverge."""
     if ram.faults:
         raise ValueError(
             f"{campaign} campaign needs a fault-free RAM "
@@ -184,85 +174,65 @@ def _transient_serial_one(
     return first_error, first_detection
 
 
-class _TransientPackedState:
-    """Per-victim walker state carried across lane windows."""
+def _victim_accesses(
+    workload: Workload, victims: Iterable[int]
+) -> Tuple[Dict[int, List[int]], Dict[int, List[Tuple[int, int]]]]:
+    """One pass over the trace: each victim address's read cycles and
+    its ``(cycle, background)`` writes, both in cycle order."""
+    reads: Dict[int, List[int]] = {address: [] for address in victims}
+    writes: Dict[int, List[Tuple[int, int]]] = {
+        address: [] for address in reads
+    }
+    for cycle, access in enumerate(workload.accesses()):
+        if access.address in reads:
+            if access.is_read:
+                reads[access.address].append(cycle)
+            else:
+                writes[access.address].append((cycle, access.bit))
+    return reads, writes
 
-    __slots__ = ("flips", "base", "pending", "pointer")
 
-    def __init__(self, base: Tuple[int, ...], upsets: List[TransientUpset]):
-        self.flips: set = set()
-        self.base = base
-        self.pending = sorted(upsets, key=lambda u: u.cycle)
-        self.pointer = 0
+def _transient_victim(
+    upsets: List[TransientUpset],
+    reads: List[int],
+    writes: List[Tuple[int, int]],
+    is_code: Callable[[int, int], bool],
+) -> Tuple[Optional[int], Optional[int]]:
+    """(first_error, first_detection) of one victim word.
 
-
-def _transient_packed_scan(
-    scenario: TransientScenario,
-    states: Dict[int, _TransientPackedState],
-    occ_read: Dict[int, int],
-    writes: Dict[int, List[Tuple[int, int]]],
-    window: int,
-    offset: int,
-    backgrounds: Dict[int, Tuple[int, ...]],
-    parity_code,
-    codeword_cache: Dict[Tuple[Tuple[int, ...], frozenset], bool],
-) -> Tuple[int, int]:
-    """(err_word, det_word) for one W-lane window of one scenario.
-
-    Events — upsets (bit toggles, effective at their own lane) and
-    workload writes (word resets, effective after their lane) — cut the
-    window into constant-state segments per victim; each live segment
-    contributes its victim-read lanes to ``err`` and, when the flipped
-    word leaves the parity code, to ``det``.
+    Upsets toggle stored bits before their cycle's access; workload
+    writes store a background word, clearing every live flip.  Between
+    two such events the word is constant, so the first read of each
+    segment with live flips (found by bisection) is that segment's
+    first error, and a detection too when the flipped word
+    (``is_code(background, flips)``) is not a code word.
     """
-    err = det = 0
-    for address, state in states.items():
-        occupancy = occ_read.get(address, 0)
-        events: List[Tuple[int, int, Optional[int]]] = []
-        while (
-            state.pointer < len(state.pending)
-            and state.pending[state.pointer].cycle < offset + window
-        ):
-            upset = state.pending[state.pointer]
-            events.append((max(upset.cycle - offset, 0), 0, upset.bit))
-            state.pointer += 1
-        for lane, background in writes.get(address, ()):
-            events.append((lane, 1, background))
-        # upsets strike before the same lane's access; writes take
-        # effect after their own lane — the sort key encodes both.
-        # A final sentinel closes the last live segment of the window.
-        events.sort(key=lambda event: (event[0], event[1]))
-        events.append((window, 2, None))
-        segment_start = 0
-        for lane, event_kind, payload in events:
-            boundary = lane if event_kind == 0 else lane + 1
-            boundary = min(boundary, window)
-            if state.flips and boundary > segment_start:
-                lanes = occupancy & _lane_range(segment_start, boundary)
-                if lanes:
-                    err |= lanes
-                    cache_key = (state.base, frozenset(state.flips))
-                    is_code = codeword_cache.get(cache_key)
-                    if is_code is None:
-                        word = list(state.base)
-                        for bit in state.flips:
-                            word[bit] ^= 1
-                        is_code = parity_code.is_codeword(tuple(word))
-                        codeword_cache[cache_key] = is_code
-                    if not is_code:
-                        det |= lanes
-            segment_start = max(segment_start, boundary)
-            if event_kind == 0:
-                state.flips.symmetric_difference_update((payload,))
-            elif event_kind == 1:
-                state.flips.clear()
-                state.base = backgrounds[payload]
-    return err, det
+    events = sorted(
+        [(max(u.cycle, 0), 0, u.bit) for u in upsets]
+        + [(cycle, 1, background) for cycle, background in writes]
+    )
+    first_error: Optional[int] = None
+    background, flips, start = 0, 0, 0
+    for end, kind, payload in events + [(sys.maxsize, 2, 0)]:
+        if flips:  # the segment [start, end) reads a corrupt word
+            index = bisect.bisect_left(reads, start)
+            if index < len(reads) and reads[index] < end:
+                read = reads[index]
+                if first_error is None:
+                    first_error = read
+                if not is_code(background, flips):
+                    return first_error, read
+        if kind == 0:  # an upset toggles its bit
+            flips ^= 1 << payload
+        elif kind == 1:  # a write stores a fresh background word
+            background, flips = payload, 0
+        start = end
+    return first_error, None
 
 
 def _transient_worker(payload):
     """One shard of transient scenarios against one workload."""
-    (ram, workload, engine, chunk), scenarios = payload
+    (ram, workload, engine), scenarios = payload
     backgrounds = _background_words(ram)
     if engine == "serial":
         out = []
@@ -277,91 +247,66 @@ def _transient_worker(payload):
             _fill_zero(ram)
         return out
 
-    window_size = chunk if chunk is not None else max(len(workload), 1)
-    victim_set = {u.address for s in scenarios for u in s.upsets}
-    states = [
-        {
-            address: _TransientPackedState(
-                backgrounds[0],
+    reads, writes = _victim_accesses(
+        workload, {u.address for s in scenarios for u in s.upsets}
+    )
+    codes: Dict[Tuple[int, int], bool] = {}
+
+    def is_code(background: int, flips: int) -> bool:
+        key = (background, flips)
+        if key not in codes:
+            word = [
+                bit ^ (flips >> index & 1)
+                for index, bit in enumerate(backgrounds[background])
+            ]
+            codes[key] = ram.parity_code.is_codeword(tuple(word))
+        return codes[key]
+
+    out = []
+    for scenario in scenarios:
+        # victims are independent words: the scenario's firsts are the
+        # earliest of any victim's
+        victims = [
+            _transient_victim(
                 [u for u in scenario.upsets if u.address == address],
+                reads[address],
+                writes[address],
+                is_code,
             )
             for address in scenario.addresses
-        }
-        for scenario in scenarios
-    ]
-    outcomes: List[List[Optional[int]]] = [
-        [None, None] for _ in scenarios
-    ]
-    active = list(range(len(scenarios)))
-    codeword_cache: Dict[Tuple[Tuple[int, ...], frozenset], bool] = {}
-    offset = 0
-    for batch in workload.chunks(window_size):
-        occ_read: Dict[int, int] = {}
-        writes: Dict[int, List[Tuple[int, int]]] = {}
-        for lane, access in enumerate(batch):
-            if access.address not in victim_set:
-                continue
-            if access.is_read:
-                occ_read[access.address] = occ_read.get(
-                    access.address, 0
-                ) | (1 << lane)
-            else:
-                writes.setdefault(access.address, []).append(
-                    (lane, access.bit)
-                )
-        survivors = []
-        for index in active:
-            err, det = _transient_packed_scan(
-                scenarios[index],
-                states[index],
-                occ_read,
-                writes,
-                len(batch),
-                offset,
-                backgrounds,
-                ram.parity_code,
-                codeword_cache,
-            )
-            if outcomes[index][0] is None:
-                lane = first_set_lane(err)
-                if lane is not None:
-                    outcomes[index][0] = offset + lane
-            lane = first_set_lane(det)
-            if lane is not None:
-                outcomes[index][1] = offset + lane
-            else:
-                survivors.append(index)
-        active = survivors
-        offset += len(batch)
-        if not active:
-            break
-    return [tuple(outcome) for outcome in outcomes]
+        ]
+        errors = [error for error, _ in victims if error is not None]
+        detections = [found for _, found in victims if found is not None]
+        out.append(
+            (min(errors, default=None), min(detections, default=None))
+        )
+    return out
 
 
 # -- march backend -----------------------------------------------------------
 
 
 class _MarchContext:
-    """One march trace compiled to packed lane structures.
+    """One march trace compiled to sparse lookups.
 
-    ``read_bg[b]`` — lanes reading background ``b``; ``occ_read[a]`` —
-    lanes reading address ``a``; ``events[a]`` — sparse per-address
-    (lane, op, bit) history.  ``regular`` is the fault-free invariant
-    (every read sees its expected background); irregular traces fall
-    back to serial replay wholesale, keeping the packed evaluators
-    exact.
+    ``events[a]`` — address ``a``'s (lane, op, bit) history in lane
+    order; ``first_read[b]`` and ``first_column_read[(c, b)]`` — the
+    first lane reading background ``b`` anywhere, and in mux column
+    ``c``.  ``regular`` is the fault-free invariant (every read sees its
+    expected background); irregular traces fall back to serial replay
+    wholesale, keeping the event evaluators exact.
     """
 
     def __init__(self, ram: BehavioralRAM, accesses: List[Access]):
         self.ram = ram
-        self.organization = ram.organization
         self.accesses = accesses
         self.backgrounds = _background_words(ram)
-        bits = ram.organization.bits
-        self.bits = bits
-        self.read_bg = {0: 0, 1: 0}
-        self.occ_read: Dict[int, int] = {}
+        self.bits = ram.organization.bits
         self.events: Dict[int, List[Tuple[int, str, int]]] = {}
+        # keyed by ``Access.bit``: a march read's expected background
+        self.first_read: Dict[Optional[int], int] = {}
+        self.first_column_read: Dict[Tuple[int, Optional[int]], int] = {}
+        split = ram.organization.split_address
         golden: Dict[int, int] = {}
         self.regular = True
         for lane, access in enumerate(accesses):
@@ -370,24 +315,13 @@ class _MarchContext:
             )
             if access.is_write:
                 golden[access.address] = access.bit
-            else:
-                self.read_bg[access.bit] |= 1 << lane
-                self.occ_read[access.address] = self.occ_read.get(
-                    access.address, 0
-                ) | (1 << lane)
-                if golden.get(access.address, 0) != access.bit:
-                    self.regular = False
-        self._column_masks: Dict[int, int] = {}
-
-    def column_read_mask(self, column: int) -> int:
-        mask = self._column_masks.get(column)
-        if mask is None:
-            mask = 0
-            for address, occupancy in self.occ_read.items():
-                if self.organization.split_address(address)[1] == column:
-                    mask |= occupancy
-            self._column_masks[column] = mask
-        return mask
+                continue
+            self.first_read.setdefault(access.bit, lane)
+            self.first_column_read.setdefault(
+                (split(access.address)[1], access.bit), lane
+            )
+            if golden.get(access.address, 0) != access.bit:
+                self.regular = False
 
     def stored_bit(self, background: int, bit: int) -> int:
         return self.backgrounds[background][bit]
@@ -397,7 +331,7 @@ def _march_serial_one(
     ram: BehavioralRAM, fault: MemoryFault, accesses: List[Access]
 ) -> Optional[int]:
     """First violating read lane by full replay — the oracle (and the
-    packed path's fallback for unknown fault classes)."""
+    vector path's fallback for unknown fault classes)."""
     ram.clear_faults()
     _fill_zero(ram)
     ram.inject(fault)
@@ -415,68 +349,14 @@ def _march_serial_one(
         ram.clear_faults()
 
 
-def _march_cell_stuck(ctx: _MarchContext, fault: CellStuckAt) -> Optional[int]:
-    if fault.bit >= ctx.bits:
-        return None  # parity region: invisible to data compares
-    lanes = ctx.occ_read.get(fault.address, 0) & ctx.read_bg[1 - fault.value]
-    return first_set_lane(lanes)
-
-
-def _march_data_line(
-    ctx: _MarchContext, fault: DataLineStuckAt
-) -> Optional[int]:
-    if fault.bit >= ctx.bits:
-        return None
-    return first_set_lane(ctx.read_bg[1 - fault.value])
-
-
-def _march_mux_line(ctx: _MarchContext, fault: MuxLineStuckAt) -> Optional[int]:
-    if fault.bit >= ctx.bits:
-        return None
-    lanes = ctx.column_read_mask(fault.column) & ctx.read_bg[1 - fault.value]
-    return first_set_lane(lanes)
-
-
-def _march_read_coupling(
-    ctx: _MarchContext, fault: CouplingFault
-) -> Optional[int]:
-    """Read-model coupling: victim reads are wrong exactly while the
-    aggressor's stored bit holds the trigger (and the forced value
-    differs from the read's background)."""
-    if fault.victim_bit >= ctx.bits:
-        return None
-    total = len(ctx.accesses)
-    trigger_mask = 0
-    value = ctx.stored_bit(0, fault.aggressor_bit)  # all-zero preparation
-    segment_start = 0
-    for lane, op, bit in ctx.events.get(fault.aggressor_address, ()):
-        if op != "w":
-            continue
-        new_value = ctx.stored_bit(bit, fault.aggressor_bit)
-        if new_value != value:
-            if value == fault.trigger:
-                trigger_mask |= _lane_range(segment_start, lane)
-            value = new_value
-            segment_start = lane
-    if value == fault.trigger:
-        trigger_mask |= _lane_range(segment_start, total)
-    lanes = (
-        ctx.occ_read.get(fault.victim_address, 0)
-        & trigger_mask
-        & ctx.read_bg[1 - fault.forced]
-    )
-    return first_set_lane(lanes)
-
-
-def _march_write_coupling(
-    ctx: _MarchContext, fault: CouplingFault
-) -> Optional[int]:
-    """Write-triggered coupling: sparse walk over the merged aggressor /
-    victim event history, tracking the victim's corrupted stored bit."""
-    if fault.victim_bit >= ctx.bits:
-        return None
-    aggressor_value = ctx.stored_bit(0, fault.aggressor_bit)
-    victim_value = ctx.stored_bit(0, fault.victim_bit)
+def _march_coupling(ctx: _MarchContext, fault: CouplingFault) -> Optional[int]:
+    """Both coupling models in one walk over the merged aggressor /
+    victim event history.  The victim's stored bit follows its writes
+    and, write-triggered, an aggressor write into ``trigger`` forces it;
+    read-model, a victim read sees ``forced`` while the aggressor's
+    stored bit holds ``trigger``."""
+    aggressor = ctx.stored_bit(0, fault.aggressor_bit)
+    victim = ctx.stored_bit(0, fault.victim_bit)
     merged = sorted(
         [
             (lane, "a", op, bit)
@@ -488,38 +368,50 @@ def _march_write_coupling(
         ]
     )
     for lane, cell, op, bit in merged:
-        if cell == "a":
-            if op == "w":
-                new_value = ctx.stored_bit(bit, fault.aggressor_bit)
-                if (
-                    new_value == fault.trigger
-                    and aggressor_value != fault.trigger
-                ):
-                    victim_value = fault.forced
-                aggressor_value = new_value
-        else:
-            if op == "w":
-                victim_value = ctx.stored_bit(bit, fault.victim_bit)
-            elif victim_value != bit:
+        if op == "w":
+            if cell == "v":
+                victim = ctx.stored_bit(bit, fault.victim_bit)
+                continue
+            value = ctx.stored_bit(bit, fault.aggressor_bit)
+            if fault.write_triggered and value == fault.trigger != aggressor:
+                victim = fault.forced
+            aggressor = value
+        elif cell == "v":
+            seen = victim
+            if not fault.write_triggered and aggressor == fault.trigger:
+                seen = fault.forced
+            if seen != bit:
                 return lane
     return None
 
 
-def _march_packed_one(
+def _march_vector_one(
     ctx: _MarchContext, fault: MemoryFault
 ) -> Optional[int]:
+    """First violating read lane of the built-in fault classes, from
+    the compiled trace; unknown classes replay serially.  A fault on
+    the parity bit is invisible to the march's data compares."""
     if not ctx.regular:
         return _march_serial_one(ctx.ram, fault, ctx.accesses)
     if isinstance(fault, CellStuckAt):
-        return _march_cell_stuck(ctx, fault)
+        if fault.bit >= ctx.bits:
+            return None
+        for lane, op, bit in ctx.events.get(fault.address, ()):
+            if op == "r" and bit != fault.value:
+                return lane
+        return None
     if isinstance(fault, DataLineStuckAt):
-        return _march_data_line(ctx, fault)
+        if fault.bit >= ctx.bits:
+            return None
+        return ctx.first_read.get(1 - fault.value)
     if isinstance(fault, MuxLineStuckAt):
-        return _march_mux_line(ctx, fault)
+        if fault.bit >= ctx.bits:
+            return None
+        return ctx.first_column_read.get((fault.column, 1 - fault.value))
     if isinstance(fault, CouplingFault):
-        if fault.write_triggered:
-            return _march_write_coupling(ctx, fault)
-        return _march_read_coupling(ctx, fault)
+        if fault.victim_bit >= ctx.bits:
+            return None
+        return _march_coupling(ctx, fault)
     return _march_serial_one(ctx.ram, fault, ctx.accesses)
 
 
@@ -532,7 +424,7 @@ def _march_worker(payload):
             for scenario in scenarios
         ]
     ctx = _MarchContext(ram, accesses)
-    return [_march_packed_one(ctx, scenario.fault) for scenario in scenarios]
+    return [_march_vector_one(ctx, scenario.fault) for scenario in scenarios]
 
 
 # -- the facade --------------------------------------------------------------
@@ -550,18 +442,15 @@ class CampaignEngine:
     * ``engine`` — ``"vector"`` (default), the one fast path, or
       ``"serial"``, the bit-identity oracle.  :meth:`decoder` and
       :meth:`scheme` run the NumPy lane-array engine; :meth:`transient`
-      and :meth:`march` run their whole-word lane-mask backends;
+      and :meth:`march` run sparse event walks;
     * ``workers`` — process-pool sharding of the scenario list (every
       method);
     * ``collapse`` — structural equivalence classes (:meth:`decoder`
       and :meth:`scheme`, where structural faults occur);
-    * ``chunk`` — bounded-memory lane windows (:meth:`decoder`,
-      :meth:`scheme` and :meth:`transient`, the streaming backends;
-      :meth:`march` ignores it — its lane masks are already bounded by
-      the compiled march length).  For :meth:`decoder` and
-      :meth:`scheme` it is the cap the windows ramp up to from one
-      64-lane word (8192 when unset); :meth:`transient` runs windows of
-      exactly ``chunk`` lanes (the whole trace when unset).
+    * ``chunk`` — bounded-memory lane windows of :meth:`decoder` and
+      :meth:`scheme`, the cap the windows ramp up to from one 64-lane
+      word (8192 when unset).  :meth:`transient` and :meth:`march`
+      ignore it: their event walks hold only the victims' accesses.
 
     Since 1.4 the engine also carries the **artifact policy**:
 
@@ -948,13 +837,13 @@ class CampaignEngine:
         live corruption).  ``first_error`` is the first read observing
         corrupt data, ``first_detection`` the first read the parity
         check flags — a gap between them is a parity escape (e.g. a
-        double flip in one word).  Vector backend: time-varying lane
-        masks (module docstring); serial: the per-cycle oracle.
+        double flip in one word).  Vector backend: per-victim event
+        segments (module docstring); serial: the per-cycle oracle.
 
         The campaign owns the RAM: pre-injected behavioural faults are
         refused (pass them as scenarios to :meth:`scheme`/:meth:`march`
         instead), and the contents are scratch — the serial replay
-        leaves the array as the all-zero fill; the lane-mask backend never
+        leaves the array as the all-zero fill; the event walk never
         touches it.
         """
         workload = as_workload(workload)
@@ -971,7 +860,7 @@ class CampaignEngine:
         def run(subset: List[TransientScenario]) -> ResultSet:
             outcomes = _map_jobs(
                 _transient_worker,
-                (ram, workload, self.engine, self.chunk),
+                (ram, workload, self.engine),
                 subset,
                 self.workers,
             )
@@ -1013,8 +902,8 @@ class CampaignEngine:
         ``first_detection`` is the index of the first violating read in
         the compiled operation stream (one lane per operation), ``None``
         when the algorithm's coverage class misses the fault.  Vector
-        backend: compiled lane masks with serial fallback for unknown
-        fault classes; serial: full replay.
+        backend: compiled lookups and event walks with serial fallback
+        for unknown fault classes; serial: full replay.
         """
         _require_fault_free(ram, "march")
         workload = Workload.march(test, ram.organization.words)

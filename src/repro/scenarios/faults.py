@@ -105,9 +105,11 @@ class MemoryScenario(FaultScenario):
 class TransientScenario(FaultScenario):
     """One or more single-event upsets, each striking at its own cycle.
 
-    Multi-upset scenarios are where the vector engine's time-varying
-    lane masks earn their keep — e.g. two flips in one word restoring
-    parity (``first_error`` set, ``first_detection`` ``None``).
+    Multi-upset scenarios are where the vector engine's per-victim
+    event walk earns its keep: it tracks the live flips of each word
+    between upsets and writes, so e.g. two flips in one word restoring
+    parity cost exactly an error without a detection (``first_error``
+    set, ``first_detection`` ``None``).
     """
 
     upsets: Tuple[TransientUpset, ...]

@@ -120,8 +120,7 @@ class Workload:
         """Stream the trace in lists of at most ``size`` accesses.
 
         The bounded-memory path: a million-cycle workload never has to
-        materialise, and the lane-mask backends consume these chunks as
-        lane windows (``chunk=W``) with results invariant in ``W``.
+        materialise as one list.
         """
         return _batched(self.accesses(), size)
 

@@ -1,19 +1,21 @@
-"""Lane-exact equivalence of the packed evaluator with the serial one."""
+"""Lane-exact equivalence of the lane evaluator with the serial one."""
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.circuits.faults import NetStuckAt, PinStuckAt
 from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
 from repro.circuits.parallel import (
-    evaluate_packed,
-    pack_stimuli,
-    packed_rom_words,
-    unpack_outputs,
+    VectorCircuit,
+    lane_mask,
+    pack_bool,
+    unpack_lanes,
 )
+from repro.circuits.simulator import fault_free_responses
 
 
 def build_mixed_circuit():
@@ -34,28 +36,41 @@ def build_mixed_circuit():
     return c
 
 
-class TestPacking:
-    def test_pack_round_trip(self):
-        stimuli = [(1, 0), (0, 0), (1, 1), (0, 1)]
-        packed, lanes = pack_stimuli(stimuli)
-        assert lanes == 4
-        assert unpack_outputs(packed, lanes) == [tuple(s) for s in stimuli]
+def lane_outputs(circuit, stimuli, fault=None):
+    """Per-stimulus outputs of the lane evaluator, under ``fault``."""
+    bits = np.asarray(stimuli, dtype=np.uint8)
+    mask = lane_mask(len(bits))
+    sim = VectorCircuit(circuit)
+    golden = sim.golden(pack_bool(bits.T), mask)
+    rows = {net: golden[net] for net in circuit.output_nets}
+    if fault is not None:
 
+        def consume(net, words):
+            rows[net] = np.broadcast_to(words, (1,) + mask.shape)[0]
+
+        sim.evaluate(golden, [fault], mask, consume)
+    outputs = np.stack([rows[net] for net in circuit.output_nets])
+    lanes = unpack_lanes(outputs, len(bits)).T.astype(np.uint8)
+    return [tuple(row) for row in lanes.tolist()]
+
+
+class TestPacking:
     def test_pack_validation(self):
+        c = build_mixed_circuit()
+        assert fault_free_responses(c, []) == []
         with pytest.raises(ValueError):
-            pack_stimuli([])
+            fault_free_responses(c, [(1, 0, 0), (1, 0)])
         with pytest.raises(ValueError):
-            pack_stimuli([(1, 0), (1,)])
+            fault_free_responses(c, [(1, 0)])
         with pytest.raises(ValueError):
-            pack_stimuli([(2, 0)])
+            fault_free_responses(c, [(2, 0, 0)])
 
 
 class TestEquivalence:
     def test_fault_free_all_lanes(self):
         c = build_mixed_circuit()
         stimuli = list(itertools.product((0, 1), repeat=3))
-        packed, lanes = pack_stimuli(stimuli)
-        outs = unpack_outputs(evaluate_packed(c, packed, lanes), lanes)
+        outs = lane_outputs(c, stimuli)
         for stimulus, out in zip(stimuli, outs):
             assert out == c.evaluate(stimulus)
 
@@ -64,7 +79,6 @@ class TestEquivalence:
         rng = random.Random(seed)
         c = build_mixed_circuit()
         stimuli = list(itertools.product((0, 1), repeat=3))
-        packed, lanes = pack_stimuli(stimuli)
         for _ in range(10):
             if rng.random() < 0.5:
                 gate = rng.choice(c.gates)
@@ -76,29 +90,23 @@ class TestEquivalence:
                     rng.randrange(len(gate.inputs)),
                     rng.randint(0, 1),
                 )
-            outs = unpack_outputs(
-                evaluate_packed(c, packed, lanes, faults=(fault,)), lanes
-            )
+            outs = lane_outputs(c, stimuli, fault)
             for stimulus, out in zip(stimuli, outs):
                 assert out == c.evaluate(stimulus, faults=(fault,)), fault
 
     def test_input_stuck_at(self):
         c = build_mixed_circuit()
         stimuli = [(0, 0, 0), (1, 1, 1)]
-        packed, lanes = pack_stimuli(stimuli)
         fault = NetStuckAt(c.input_nets[0], 1)
-        outs = unpack_outputs(
-            evaluate_packed(c, packed, lanes, faults=(fault,)), lanes
-        )
+        outs = lane_outputs(c, stimuli, fault)
         for stimulus, out in zip(stimuli, outs):
             assert out == c.evaluate(stimulus, faults=(fault,))
 
     def test_validation(self):
+        # the retired bigint engine is an unknown engine like any other
         c = build_mixed_circuit()
-        with pytest.raises(ValueError):
-            evaluate_packed(c, [0, 0], 1)
-        with pytest.raises(ValueError):
-            evaluate_packed(c, [2, 0, 0], 1)  # exceeds 1-lane mask
+        with pytest.raises(ValueError, match="engine must be one of"):
+            fault_free_responses(c, [(0, 0, 0)], engine="packed")
 
 
 class TestPackedRomWords:
@@ -110,8 +118,13 @@ class TestPackedRomWords:
         checked = CheckedDecoder(mapping_for_code(MOutOfNCode(3, 5), 5))
         addresses = [3, 17, 0, 31, 8, 8, 25]
         fault = NetStuckAt(checked.tree.root.output_nets[6], 1)
-        packed_words = packed_rom_words(checked, addresses, faults=(fault,))
-        for address, word in zip(addresses, packed_words):
+        stimuli = [
+            [(address >> bit) & 1 for bit in range(checked.n)]
+            for address in addresses
+        ]
+        outputs = lane_outputs(checked.circuit, stimuli, fault)
+        for address, out in zip(addresses, outputs):
+            word = out[1 << checked.n :]
             assert word == checked.rom_word(address, faults=(fault,))
 
     def test_whole_stream_in_one_pass(self):
@@ -121,7 +134,14 @@ class TestPackedRomWords:
 
         checked = CheckedDecoder(mapping_for_code(MOutOfNCode(2, 4), 4))
         addresses = list(range(16)) * 4
-        words = packed_rom_words(checked, addresses)
+        stimuli = [
+            [(address >> bit) & 1 for bit in range(checked.n)]
+            for address in addresses
+        ]
+        words = [
+            response[1 << checked.n :]
+            for response in fault_free_responses(checked.circuit, stimuli)
+        ]
         assert len(words) == 64
         assert all(
             w == checked.expected_word(a) for a, w in zip(addresses, words)

@@ -1,11 +1,14 @@
 """The fast campaign path (the vector engine, the default) vs the serial
-oracle: record-level bit-identity, plus the vector engine's lane-array
-circuit evaluator against the bigint evaluate_packed."""
+oracle: record-level bit-identity, plus the lane-array circuit
+evaluator against the serial Circuit.evaluate."""
 
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.checkers.base import Checker
 from repro.checkers.m_out_of_n_checker import MOutOfNChecker
@@ -16,7 +19,12 @@ from repro.circuits.faults import (
 )
 from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
-from repro.circuits.parallel import evaluate_packed, pack_stimuli
+from repro.circuits.parallel import (
+    VectorCircuit,
+    lane_mask,
+    pack_bool,
+    unpack_lanes,
+)
 from repro.circuits.simulator import (
     coverage,
     detects,
@@ -28,13 +36,7 @@ from repro.core.mapping import mapping_for_code
 from repro.core.scheme import SelfCheckingMemory
 from repro.core.selection import select_code
 from repro.faultsim.campaign import decoder_campaign, scheme_campaign
-from repro.faultsim.vectorsim import (
-    _int_to_row,
-    _lane_mask,
-    _pack_values,
-    _row_to_int,
-    _VectorCircuit,
-)
+from repro.faultsim.vectorsim import _pack_values
 from repro.faultsim.injector import (
     decoder_fault_list,
     rom_fault_list,
@@ -80,8 +82,8 @@ def checker35():
 
 
 class TestPackedCircuit:
-    """The vector engine's lane-array evaluator (faults x packed cycle
-    lanes) is lane-exact vs evaluate_packed, fault by fault."""
+    """The lane-array evaluator (faults x packed cycle lanes) is
+    lane-exact vs the serial Circuit.evaluate, fault by fault."""
 
     @staticmethod
     def random_circuit(seed, inputs=4, gates=14):
@@ -122,64 +124,91 @@ class TestPackedCircuit:
 
     def _evaluate_matches_packed(self, seed, batches):
         """Every fault's output lanes from ``evaluate`` over the fault
-        batches ``batches(faults)`` equal ``evaluate_packed``'s, and each
-        output is consumed once per batch."""
-        import numpy as np
-
+        batches ``batches(faults)`` equal the serial ``Circuit.evaluate``
+        responses, and each output is consumed once per batch."""
         circuit = self.random_circuit(seed)
         rng = random.Random(100 + seed)
         stimuli = [
             tuple(rng.randint(0, 1) for _ in range(len(circuit.input_nets)))
             for _ in range(33)
         ]
-        packed, lanes = pack_stimuli(stimuli)
-        words = (lanes + 63) // 64
-        mask = _lane_mask(lanes)
-        sim = _VectorCircuit(circuit)
-        golden = sim.golden(
-            [_int_to_row(word, words) for word in packed], mask
-        )
         faults = enumerate_stuck_at_faults(
             circuit, include_inputs=True, include_pins=True
         )
-        for batch in batches(faults):
-            outputs = {}
+        assert_lane_exact(circuit, stimuli, batches(faults))
 
-            def consume(net, rows):
-                assert net not in outputs
-                rows = np.broadcast_to(rows, (len(batch),) + mask.shape)
-                outputs[net] = rows
-
-            sim.evaluate(golden, batch, mask, consume)
-            assert set(outputs) == set(circuit.output_nets)
-            for row, fault in enumerate(batch):
-                expected = evaluate_packed(
-                    circuit, packed, lanes, faults=(fault,)
-                )
-                got = [
-                    _row_to_int(outputs[net][row])
-                    for net in circuit.output_nets
-                ]
-                assert got == expected, fault
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        inputs=st.integers(1, 6),
+        gates=st.integers(1, 20),
+        lanes=st.integers(1, 130),
+        batch=st.integers(1, 8),
+    )
+    def test_random_netlists_match_serial(
+        self, seed, inputs, gates, lanes, batch
+    ):
+        # random netlists, stimulus counts that straddle lane words and
+        # fault batches of any size, against the serial oracle
+        circuit = self.random_circuit(seed, inputs=inputs, gates=gates)
+        rng = random.Random(seed)
+        stimuli = [
+            tuple(rng.randint(0, 1) for _ in range(inputs))
+            for _ in range(lanes)
+        ]
+        faults = enumerate_stuck_at_faults(
+            circuit, include_inputs=True, include_pins=True
+        )
+        faults = rng.sample(faults, min(len(faults), 24))
+        assert_lane_exact(
+            circuit,
+            stimuli,
+            [faults[i : i + batch] for i in range(0, len(faults), batch)],
+        )
 
     def test_golden_pass_matches_evaluate_packed(self, checked4):
-        import numpy as np
-
         addresses = _uniform_addresses(4, 40, seed=9)
-        golden = _VectorCircuit(checked4.circuit).golden(
+        golden = VectorCircuit(checked4.circuit).golden(
             _pack_values(np.asarray(addresses), checked4.n),
-            _lane_mask(len(addresses)),
+            lane_mask(len(addresses)),
         )
-        stimuli = [
-            [(address >> bit) & 1 for bit in range(checked4.n)]
-            for address in addresses
-        ]
-        packed, lanes = pack_stimuli(stimuli)
-        expected = evaluate_packed(checked4.circuit, packed, lanes)
-        got = [
-            _row_to_int(golden[net]) for net in checked4.circuit.output_nets
-        ]
-        assert got == expected
+        outputs = checked4.circuit.output_nets
+        got = unpack_lanes(golden[list(outputs)], len(addresses)).T
+        for address, lane in zip(addresses, got.astype(int).tolist()):
+            stimulus = [(address >> bit) & 1 for bit in range(checked4.n)]
+            assert tuple(lane) == checked4.circuit.evaluate(stimulus)
+
+
+def assert_lane_exact(circuit, stimuli, batches):
+    """Run each fault batch through one evaluator over the packed
+    stimuli; every fault's output lanes must equal its serial
+    responses, and each output must be consumed exactly once."""
+    mask = lane_mask(len(stimuli))
+    sim = VectorCircuit(circuit)
+    golden = sim.golden(
+        pack_bool(np.asarray(stimuli, dtype=np.uint8).T), mask
+    )
+    for batch in batches:
+        outputs = {}
+
+        def consume(net, rows):
+            assert net not in outputs
+            outputs[net] = np.broadcast_to(rows, (len(batch),) + mask.shape)
+
+        sim.evaluate(golden, batch, mask, consume)
+        assert set(outputs) == set(circuit.output_nets)
+        lanes = np.stack(
+            [outputs[net] for net in circuit.output_nets], axis=1
+        )  # (F, outputs, W)
+        got = unpack_lanes(lanes, len(stimuli)).astype(int)
+        for row, fault in enumerate(batch):
+            expected = [
+                circuit.evaluate(stimulus, faults=(fault,))
+                for stimulus in stimuli
+            ]
+            assert [tuple(r) for r in got[row].T.tolist()] == expected, (
+                fault
+            )
 
 
 class TestDecoderCampaignEquivalence:
@@ -460,13 +489,35 @@ class TestSimulatorEngines:
         assert packed["first_detection"] == serial["first_detection"]
         assert packed["undetected"] == serial["undetected"]
 
-    def test_first_difference_rejects_mismatched_golden(self):
+    @pytest.mark.parametrize("engine", ["vector", "serial"])
+    def test_first_difference_rejects_mismatched_golden(self, engine):
         c = self.build_circuit()
         stimuli = self.all_stimuli()
         golden = fault_free_responses(c, stimuli)
         fault = NetStuckAt(c.gates[0].output, 1)
-        with pytest.raises(ValueError):
-            first_difference(c, fault, stimuli, golden=golden[:-1])
+        for short in (golden[:-1], golden[:2]):
+            with pytest.raises(ValueError, match="golden has"):
+                first_difference(
+                    c, fault, stimuli, golden=short, engine=engine
+                )
+
+    @pytest.mark.parametrize("engine", ["vector", "serial"])
+    def test_coverage_counts_repeated_faults(self, engine):
+        # concatenated fault lists repeat faults: every count is per
+        # list entry, so an undetected fault listed twice is two misses
+        c = Circuit("and")
+        a, b = c.add_inputs(["a", "b"])
+        c.mark_output(c.add_gate(GateType.AND, (a, b)))
+        fault = NetStuckAt(c.gates[0].output, 1)
+        stimuli = list(itertools.product((0, 1), repeat=2))
+        report = coverage(
+            c, [fault, fault], stimuli, lambda r: True, engine=engine
+        )
+        assert report["total"] == 2
+        assert report["detected"] == 0
+        assert report["undetected"] == [fault, fault]
+        assert report["coverage"] == 0.0
+        assert report["first_detection"] == {fault: None}
 
     def test_empty_stimuli(self):
         c = self.build_circuit()

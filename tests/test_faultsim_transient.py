@@ -17,8 +17,8 @@ def scrubbed(words, cycles, scrub_period, seed=0):
 
 
 def transient_records(ram, upsets, addresses):
-    """One single-upset scenario per upset on the lane-mask backend;
-    the records in upset order."""
+    """One single-upset scenario per upset on the vector backend; the
+    records in upset order."""
     scenarios = [TransientScenario(upsets=(upset,)) for upset in upsets]
     return CampaignEngine().transient(ram, scenarios, addresses).records
 

@@ -1,9 +1,11 @@
-"""Property tests: each packed checker accepts exactly the words its
-serial checker accepts — on every input word, not just code words."""
+"""Property tests: each checker's lane acceptance (``accepts_lanes``)
+accepts exactly the words its serial ``accepts`` accepts — on every
+input word, not just code words."""
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.checkers.base import Checker
@@ -11,13 +13,18 @@ from repro.checkers.berger_checker import BergerChecker
 from repro.checkers.m_out_of_n_checker import MOutOfNChecker
 from repro.checkers.parity_checker import ParityChecker
 from repro.checkers.two_rail_checker import TwoRailChecker
-from repro.circuits.parallel import pack_stimuli
+from repro.circuits.parallel import lane_mask, pack_bool, unpack_lanes
+
+
+def lane_columns(words):
+    """One (W,) lane row per observed bit: lane ``k`` carries
+    ``words[k]``."""
+    return list(pack_bool(np.asarray(words, dtype=np.uint8).T))
 
 
 def packed_acceptance(checker, words):
-    packed, lanes = pack_stimuli(words)
-    acc = checker.accepts_packed(packed, lanes)
-    return [bool((acc >> lane) & 1) for lane in range(lanes)]
+    acc = checker.accepts_lanes(lane_columns(words), lane_mask(len(words)))
+    return unpack_lanes(acc, len(words)).tolist()
 
 
 def serial_acceptance(checker, words):
@@ -77,7 +84,7 @@ def test_packed_equals_serial_on_random_wide_words(checker):
 
 
 class _EveryOtherChecker(Checker):
-    """Plugin checker with no packed override — exercises the generic
+    """Plugin checker with no lane override — exercises the generic
     unpack-and-defer fallback of the base class."""
 
     def __init__(self, width):
@@ -107,15 +114,17 @@ def test_base_fallback_matches_serial():
     ids=lambda c: type(c).__name__,
 )
 def test_packed_width_validated(checker):
-    with pytest.raises(ValueError):
-        checker.accepts_packed([0] * (checker.input_width + 1), 4)
+    columns = [np.zeros(1, dtype=np.uint64)] * (checker.input_width + 1)
+    with pytest.raises(ValueError, match="lane columns"):
+        checker.accepts_lanes(columns, lane_mask(4))
 
 
 def test_packed_single_lane_and_full_lane_masks():
     checker = MOutOfNChecker(3, 5, structural=False)
     word = (1, 1, 1, 0, 0)  # weight 3 -> accepted
-    packed, lanes = pack_stimuli([word])
-    assert checker.accepts_packed(packed, lanes) == 1
+    acc = checker.accepts_lanes(lane_columns([word]), lane_mask(1))
+    assert acc.tolist() == [1]
     bad = (1, 1, 1, 1, 0)
-    packed, lanes = pack_stimuli([word, bad, word])
-    assert checker.accepts_packed(packed, lanes) == 0b101
+    words = [word, bad, word]
+    acc = checker.accepts_lanes(lane_columns(words), lane_mask(3))
+    assert acc.tolist() == [0b101]

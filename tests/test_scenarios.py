@@ -381,7 +381,8 @@ class TestCampaignEngineFacade:
 
 
 class TestChunkedLaneInvariance:
-    """Packed results are identical for chunk sizes W in {1, 7, 64, full}."""
+    """Vector results are identical for chunk sizes W in {1, 7, 64, full}
+    (transient campaigns ignore ``chunk``; the invariance still holds)."""
 
     def test_decoder_campaign_chunk_invariant(self, checked5, checker35):
         faults = decoder_fault_list(checked5)
@@ -564,7 +565,7 @@ class TestTransientEngines:
 
     def test_rejects_preinjected_behavioural_faults(self):
         # a pre-injected fault would be honoured by the serial replay
-        # but not by the packed lane algebra: refused up front
+        # but not by the event walks: refused up front
         ram = make_ram()
         ram.inject(DataLineStuckAt(0, 1))
         with pytest.raises(ValueError, match="fault-free"):
@@ -636,7 +637,7 @@ class TestSeededReproducibility:
 
 
 class _WeirdFault(MemoryFault):
-    """Not a built-in class: exercises the lane-mask backend's serial
+    """Not a built-in class: exercises the vector backend's serial
     fallback (reads of address 0 see bit 0 inverted)."""
 
     def apply_read(self, address, word, memory):

@@ -1,10 +1,12 @@
 """Vector (NumPy lane-array) campaign engine vs the serial oracle:
 record-level bit-identity across fault kinds, collapse modes and window
-widths, lane-helper unit tests, checker-lane equivalence against the
-bigint ``accepts_packed`` primitives, and the engine policy surface."""
+widths, lane-helper unit tests against Python-int references,
+checker-lane equivalence against the serial ``accepts``, and the engine
+policy surface."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.checkers.base import Checker
@@ -12,6 +14,7 @@ from repro.checkers.berger_checker import BergerChecker
 from repro.checkers.m_out_of_n_checker import MOutOfNChecker
 from repro.checkers.parity_checker import ParityChecker
 from repro.checkers.two_rail_checker import TwoRailChecker
+from repro.circuits import parallel
 from repro.codes.m_out_of_n import MOutOfNCode
 from repro.core.mapping import mapping_for_code
 from repro.core.scheme import SelfCheckingMemory
@@ -54,6 +57,23 @@ def record_key(result):
     ]
 
 
+def int_to_row(value, words):
+    """Python-int lanes -> (W,) uint64 lane row: the reference form the
+    lane helpers are checked against."""
+    row = np.zeros(words, dtype=np.uint64)
+    for j in range(words):
+        row[j] = np.uint64((value >> (64 * j)) & ((1 << 64) - 1))
+    return row
+
+
+def row_to_int(row):
+    """(W,) uint64 lane row -> Python int (inverse of int_to_row)."""
+    value = 0
+    for j, word in enumerate(row.tolist()):
+        value |= word << (64 * j)
+    return value
+
+
 # -- engine policy -----------------------------------------------------------
 
 
@@ -75,41 +95,38 @@ class TestResolveEngine:
 
 class TestLaneHelpers:
     def test_pack_unpack_roundtrip(self):
-        import numpy as np
-
         rng = random.Random(3)
-        for lanes in (1, 7, 63, 64, 65, 130):
+        for lanes in (1, 7, 63, 64, 65, 128, 130):
             bits = np.array(
                 [rng.randrange(2) for _ in range(lanes)], dtype=bool
             )
-            row = vectorsim._pack_bool(bits[None, :])[0]
+            row = parallel.pack_bool(bits[None, :])[0]
             assert row.shape == ((lanes + 63) // 64,)
-            back = vectorsim._unpack_lanes(row, lanes)
+            back = parallel.unpack_lanes(row, lanes)
             assert back.tolist() == bits.tolist()
+            # a transposed (non-contiguous) matrix packs the same
+            matrix = np.stack([bits, ~bits], axis=1)  # (lanes, 2)
+            rows = parallel.pack_bool(matrix.T)
+            assert rows.tolist() == [
+                row.tolist(), parallel.pack_bool(~bits).tolist()
+            ]
+            assert parallel.unpack_lanes(rows, lanes).tolist() == (
+                matrix.T.tolist()
+            )
 
     def test_row_int_roundtrip(self):
-        import numpy as np
-
         rng = random.Random(5)
         for words in (1, 2, 3):
             value = rng.getrandbits(64 * words - 7)
-            row = vectorsim._int_to_row(value, words)
+            row = int_to_row(value, words)
             assert row.dtype == np.uint64
-            assert vectorsim._row_to_int(row) == value
+            assert row_to_int(row) == value
 
     def test_lane_mask(self):
-        assert vectorsim._row_to_int(vectorsim._lane_mask(64)) == (
-            (1 << 64) - 1
-        )
-        assert vectorsim._row_to_int(vectorsim._lane_mask(70)) == (
-            (1 << 70) - 1
-        )
+        assert row_to_int(parallel.lane_mask(64)) == (1 << 64) - 1
+        assert row_to_int(parallel.lane_mask(70)) == (1 << 70) - 1
 
     def test_first_set_lanes_matches_bigint(self):
-        import numpy as np
-
-        from repro.circuits.parallel import first_set_lane
-
         rng = random.Random(11)
         rows = []
         for _ in range(40):
@@ -117,13 +134,10 @@ class TestLaneHelpers:
             if rng.random() < 0.2:
                 value = 0
             rows.append(value)
-        words = np.stack(
-            [vectorsim._int_to_row(v, 3) for v in rows]
-        )
-        firsts = vectorsim._first_set_lanes(words)
+        words = np.stack([int_to_row(v, 3) for v in rows])
+        firsts = parallel.first_set_lanes(words)
         for value, first in zip(rows, firsts.tolist()):
-            expected = first_set_lane(value)
-            assert first == (-1 if expected is None else expected)
+            assert first == (value & -value).bit_length() - 1
 
     def test_windows_ramp_up_to_the_cap(self):
         windows = list(vectorsim._windows(30_000, vectorsim.DEFAULT_WINDOW))
@@ -166,26 +180,25 @@ class TestLaneHelpers:
             assert words.stop * 64 >= stop - base > (words.stop - 1) * 64
 
     def test_mask_through_lane_truncates_after_detection(self):
-        import numpy as np
-
         rng = random.Random(13)
         values = [rng.getrandbits(150) for _ in range(16)]
         lanes = np.array(
             [rng.randrange(-1, 150) for _ in values], dtype=np.int64
         )
-        words = np.stack([vectorsim._int_to_row(v, 3) for v in values])
+        words = np.stack([int_to_row(v, 3) for v in values])
         kept = vectorsim._mask_through_lane(words, lanes)
         for value, lane, row in zip(values, lanes.tolist(), kept):
             if lane < 0:
                 expected = value
             else:
                 expected = value & ((1 << (lane + 1)) - 1)
-            assert vectorsim._row_to_int(row) == expected
+            assert row_to_int(row) == expected
 
 
 class _EveryOtherChecker(Checker):
     """Plugin checker (accepts words with an even popcount) without a
-    packed override — exercises the bigint fallback in _accepts_lanes."""
+    lane override — exercises the base class's judge-each-word
+    fallback."""
 
     input_width = 5
 
@@ -208,20 +221,23 @@ class TestAcceptsLanes:
         ids=lambda c: type(c).__name__,
     )
     def test_matches_accepts_packed(self, checker):
-        import numpy as np
-
-        rng = random.Random(17)
-        lanes = 130  # straddles two words + a partial third
-        width = checker.input_width
-        mask = vectorsim._lane_mask(lanes)
+        # (F, W) columns: three observation rows of 130 lanes, which
+        # straddle two words and a partial third
+        rng = np.random.default_rng(17)
+        lanes, rows = 130, 3
+        mask = parallel.lane_mask(lanes)
         for _ in range(5):
-            packed = [rng.getrandbits(lanes) for _ in range(width)]
-            columns = [
-                np.stack([vectorsim._int_to_row(c, 3)]) for c in packed
+            # (F, lanes, width) observed words
+            bits = rng.integers(0, 2, (rows, lanes, checker.input_width))
+            columns = list(parallel.pack_bool(bits.transpose(2, 0, 1)))
+            got = checker.accepts_lanes(columns, mask)
+            assert got.shape == (rows, mask.shape[0])
+            assert not (got & ~mask).any()  # no lane past the mask
+            want = [
+                [checker.accepts(tuple(word)) for word in row]
+                for row in bits.tolist()
             ]
-            got = vectorsim._accepts_lanes(checker, columns, mask, lanes)
-            want = checker.accepts_packed(packed, lanes)
-            assert vectorsim._row_to_int(got[0] & mask) == want
+            assert parallel.unpack_lanes(got, lanes).tolist() == want
 
 
 # -- decoder campaigns -------------------------------------------------------
@@ -266,7 +282,7 @@ class TestDecoderBitIdentity:
         # from one fault per batch (a one-word budget) to a few dozen
         checked, checker, faults, addresses, serial = workload
         for budget in BUDGETS:
-            monkeypatch.setattr(vectorsim, "LIVE_WORDS", budget)
+            monkeypatch.setattr(parallel, "LIVE_WORDS", budget)
             vector = decoder_campaign(
                 checked, checker, faults, addresses, engine="vector"
             )
@@ -355,7 +371,7 @@ class TestDecoderBitIdentity:
             record.first_error is not None and record.first_error >= 300
             for record in serial.records
         )
-        monkeypatch.setattr(vectorsim, "LIVE_WORDS", 1)
+        monkeypatch.setattr(parallel, "LIVE_WORDS", 1)
         vector = decoder_campaign(
             checked, checker, faults, addresses, engine="vector"
         )
@@ -372,7 +388,7 @@ class TestGateOrder:
         return CheckedDecoder(mapping).circuit
 
     def test_every_gate_once_after_its_inputs(self, circuit):
-        order = [step[0] for step in vectorsim._VectorCircuit(circuit).steps]
+        order = [step[0] for step in parallel.VectorCircuit(circuit).steps]
         assert sorted(gate.index for gate in order) == list(
             range(len(circuit.gates))
         )
@@ -382,13 +398,13 @@ class TestGateOrder:
             produced.add(gate.output)
 
     def test_live_width_stays_small(self, circuit, monkeypatch):
-        ordered = vectorsim._VectorCircuit(circuit).live
+        ordered = parallel.VectorCircuit(circuit).live
         # netlist order holds a whole 256-line level of the tree at once
         monkeypatch.setattr(
-            vectorsim, "_low_pressure_order",
+            parallel, "low_pressure_order",
             lambda circuit, wide: range(len(circuit.gates)),
         )
-        netlist = vectorsim._VectorCircuit(circuit).live
+        netlist = parallel.VectorCircuit(circuit).live
         assert ordered < 64 and netlist > 256
 
 
@@ -489,7 +505,7 @@ class TestSchemeBitIdentity:
     def test_fault_batches_are_invisible(self, scheme_case, monkeypatch):
         serial = self._run(scheme_case, "serial")
         for budget in BUDGETS:
-            monkeypatch.setattr(vectorsim, "LIVE_WORDS", budget)
+            monkeypatch.setattr(parallel, "LIVE_WORDS", budget)
             vector = self._run(scheme_case, "vector")
             assert record_key(vector) == record_key(serial), budget
 
@@ -514,11 +530,10 @@ class TestSchemeBitIdentity:
         calls = []
         evaluate = vectorsim._VectorSchemeState._axis_window
 
-        def spy(self, axis, reps, golden, other_golden, mask, lanes):
-            calls.append((axis, lanes))
-            return evaluate(
-                self, axis, reps, golden, other_golden, mask, lanes
-            )
+        def spy(self, axis, reps, golden, other_golden, mask):
+            lanes = parallel.unpack_lanes(mask, 64 * len(mask)).sum()
+            calls.append((axis, int(lanes)))
+            return evaluate(self, axis, reps, golden, other_golden, mask)
 
         monkeypatch.setattr(
             vectorsim._VectorSchemeState, "_axis_window", spy
