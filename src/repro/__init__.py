@@ -170,7 +170,7 @@ from repro.scenarios import (
 )
 from repro.service import CampaignService, ServiceClient
 
-__version__ = "2.2.0"
+__version__ = "2.3.0"
 
 __all__ = [
     "__version__",

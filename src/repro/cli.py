@@ -1363,8 +1363,9 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--wait",
         action="store_true",
-        help="poll the job to a terminal state, streaming [i/N] "
-        "progress on stderr (exit 1 unless it ends 'done')",
+        help="long-poll the job to a terminal state, streaming [i/N] "
+        "progress on stderr as cells complete (exit 1 unless it ends "
+        "'done')",
     )
     submit.add_argument(
         "--timeout", type=float, default=600.0, metavar="SECONDS",

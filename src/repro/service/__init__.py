@@ -6,19 +6,22 @@ job service through which many concurrent clients submit
 :class:`~repro.results.store.ResultStore`.  Zero dependencies beyond
 the standard library.
 
-* :class:`CampaignService` — the injectable core: a persistent
-  :class:`JobQueue` (``queued -> running -> done|error|cancelled``,
-  records survive server restarts), a bounded job worker pool decoupled
-  from request lifetime, live per-job ``[i/N]`` progress snapshots fed
-  by the runner's per-cell callbacks, cooperative cancellation, and
+* :class:`CampaignService` — the injectable core: a :class:`JobQueue`
+  (``queued -> running -> done|error|cancelled``; creation, transitions
+  and cancel requests are persisted, so records survive server
+  restarts), a bounded job worker pool decoupled from request lifetime,
+  live per-job ``[i/N]`` progress snapshots in memory fed by the
+  runner's per-cell callbacks, cooperative cancellation, and
   hash-verified artifact reads;
 * :mod:`~repro.service.handlers` — a socket-free :class:`Router`
-  (``POST /suites``, ``GET /jobs[/{id}]``, ``POST /jobs/{id}/cancel``,
-  ``GET /results/{key}[/records]``, ``GET /healthz``) plus the
-  :func:`make_server`/:func:`serving` stdlib HTTP bindings;
+  (``POST /suites``, ``GET /jobs[/{id}]`` with the ``?wait=S[&after=R]``
+  long-poll, ``POST /jobs/{id}/cancel``, ``GET /results/{key}[/records]``,
+  ``GET /healthz``) plus the :func:`make_server`/:func:`serving` stdlib
+  HTTP bindings;
 * :class:`ServiceClient` — the ``urllib`` client
-  (submit/poll/wait/fetch), with :class:`~repro.service.fakes.
-  InProcessClient` as the exact socket-free double for tests.
+  (submit/wait/fetch; ``wait`` long-polls), with
+  :class:`~repro.service.fakes.InProcessClient` as the exact
+  socket-free double for tests.
 
 Because jobs execute through :class:`~repro.suite.runner.SuiteRunner`
 over the shared store, the batch layer's resume property carries over
@@ -50,6 +53,7 @@ from repro.service.jobs import (
     JobQueue,
     JobRecord,
     JobStateError,
+    QueueClosedError,
 )
 from repro.service.service import JOB_OPTIONS, CampaignService
 
@@ -59,6 +63,7 @@ __all__ = [
     "JOB_OPTIONS",
     "JobError",
     "JobStateError",
+    "QueueClosedError",
     "JobRecord",
     "JobQueue",
     "CampaignService",

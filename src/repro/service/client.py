@@ -42,6 +42,9 @@ class ServiceError(RuntimeError):
 class ServiceAPI:
     """Endpoint methods shared by the real client and the fake."""
 
+    #: socket timeout of one request (seconds; ``None``: no socket)
+    timeout: Optional[float] = None
+
     def _request(
         self,
         method: str,
@@ -122,15 +125,32 @@ class ServiceAPI:
         poll: float = 0.05,
         progress: Optional[Callable[[dict], None]] = None,
     ) -> dict:
-        """Poll until the job reaches a terminal state.
+        """Block until the job reaches a terminal state; returns its
+        dict.
 
+        Long-polls ``GET /jobs/{id}?wait=S``: the server answers when
+        the job ends or its wait cap passes, so without ``progress``
+        a job that ends within the cap costs one request.  With
+        ``progress``, each request also returns as soon as the job
+        changes (``&after=R``, the revision last seen), and
         ``progress`` is called with the job dict whenever the progress
-        snapshot changes; :class:`TimeoutError` after ``timeout``
+        snapshot changed; changes between two requests are coalesced.
+        ``poll`` is the pause between requests only against an older
+        server, which answers at once with no ``revision``.
+        A request never asks to park longer than half the socket
+        ``timeout``.  :class:`TimeoutError` after ``timeout``
         seconds."""
         deadline = time.monotonic() + timeout
         last_snapshot: Optional[dict] = None
+        revision = 0  # revisions start at 1: the first answer is at once
         while True:
-            job = self.job(job_id)
+            wait_s = max(0.0, deadline - time.monotonic())
+            if self.timeout is not None:
+                wait_s = min(wait_s, self.timeout / 2)
+            path = f"/jobs/{job_id}?wait={wait_s:.3f}"
+            if progress is not None:
+                path += f"&after={revision}"
+            job = self._json("GET", path)
             snapshot = job.get("progress") or {}
             if progress is not None and snapshot != last_snapshot:
                 progress(job)
@@ -142,7 +162,10 @@ class ServiceAPI:
                     f"job {job_id} still {job.get('state')!r} after "
                     f"{timeout:g}s"
                 )
-            time.sleep(poll)
+            if "revision" in job:
+                revision = job["revision"]
+            else:  # an older server ignored the wait and answered at once
+                time.sleep(poll)
 
 
 class ServiceClient(ServiceAPI):

@@ -12,10 +12,20 @@ Routes::
     GET  /healthz                  service status + job counts
     POST /suites                   submit {"suite": ..., "options": ...}
     GET  /jobs                     the job table
-    GET  /jobs/{id}                one job (live progress snapshot)
+    GET  /jobs/{id}                one job (live progress snapshot) and
+                                   its "revision"
+    GET  /jobs/{id}?wait=S         ... once it is terminal, or after S s
+    GET  /jobs/{id}?wait=S&after=R ... once its revision passes R, it is
+                                   terminal, or S s have passed
     POST /jobs/{id}/cancel         cancel (409 once terminal)
     GET  /results/{key}            artifact metadata (prefix accepted)
     GET  /results/{key}/records    the raw JSONL records
+
+A long-poll parks its handler thread on the job queue's condition (no
+polling loop); ``S`` is capped at :data:`MAX_WAIT_S`.  A ``wait`` that
+is not a finite number >= 0, or an ``after`` that is not an integer,
+is a 400; an unknown job is a 404 at once; a long-poll that would park
+on a shut-down service is a 503.
 
 :func:`make_server` binds the router into a stdlib
 :class:`~http.server.ThreadingHTTPServer`; :func:`serving` runs one on
@@ -26,12 +36,14 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import threading
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.results.store import ResultStoreError
-from repro.service.jobs import JobError, JobStateError
+from repro.service.jobs import JobError, JobStateError, QueueClosedError
 from repro.service.service import CampaignService
 
 __all__ = ["Router", "make_server", "serving"]
@@ -47,6 +59,11 @@ MAX_BODY_BYTES = 1 << 20
 #: headers or body) before the server drops it, so a client that sends
 #: less body than its ``Content-Length`` cannot pin a handler thread
 REQUEST_TIMEOUT_S = 30.0
+
+#: longest a ``GET /jobs/{id}?wait=S`` parks (seconds): below
+#: :data:`REQUEST_TIMEOUT_S` and ``ServiceClient``'s default 30 s socket
+#: timeout, so neither side gives up on a long-poll that runs its length
+MAX_WAIT_S = 20.0
 
 Response = Tuple[int, str, bytes]
 
@@ -83,9 +100,40 @@ def _body_length(header: Optional[str]) -> Tuple[int, Optional[Response]]:
     return length, None
 
 
+def _wait_query(query: Dict[str, List[str]]) -> Tuple[float, Optional[int]]:
+    """(seconds to park, revision to wait past) from ``?wait=S&after=R``
+    — ``(0.0, None)`` when both are absent; ``S`` is capped at
+    :data:`MAX_WAIT_S`.  Raises ValueError (400) on a bad value."""
+    wait = 0.0
+    if "wait" in query:
+        text = query["wait"][-1]
+        try:
+            wait = float(text)
+        except ValueError:
+            wait = math.nan
+        if not (math.isfinite(wait) and wait >= 0):
+            raise ValueError(
+                f"wait must be a finite number of seconds >= 0, "
+                f"got {text!r}"
+            )
+    after = None
+    if "after" in query:
+        text = query["after"][-1]
+        try:
+            after = int(text)
+        except ValueError:
+            raise ValueError(
+                f"after must be an integer revision, got {text!r}"
+            ) from None
+    return min(wait, MAX_WAIT_S), after
+
+
 class Router:
     """Dispatch one request against a service; never raises — every
-    failure is a JSON error response with the matching status code."""
+    failure is a JSON error response with the matching status code.
+
+    One router serves every handler thread, so it keeps no
+    per-request state: the query string is parsed inside each call."""
 
     def __init__(self, service: CampaignService):
         self.service = service
@@ -94,18 +142,30 @@ class Router:
         self, method: str, path: str, body: Optional[bytes] = None
     ) -> Response:
         try:
-            return self._dispatch(method, path.split("?", 1)[0], body)
+            path, _, query = path.partition("?")
+            return self._dispatch(
+                method,
+                path,
+                urllib.parse.parse_qs(query, keep_blank_values=True),
+                body,
+            )
         except JobStateError as exc:
             return _json_response(409, {"error": str(exc)})
         except (JobError, LookupError) as exc:
             return _json_response(404, {"error": str(exc)})
         except ValueError as exc:
             return _json_response(400, {"error": str(exc)})
+        except QueueClosedError as exc:
+            return _json_response(503, {"error": str(exc)})
         except ResultStoreError as exc:
             return _json_response(500, {"error": str(exc)})
 
     def _dispatch(
-        self, method: str, path: str, body: Optional[bytes]
+        self,
+        method: str,
+        path: str,
+        query: Dict[str, List[str]],
+        body: Optional[bytes],
     ) -> Response:
         service = self.service
         segments = [part for part in path.split("/") if part]
@@ -135,8 +195,12 @@ class Router:
                     },
                 )
             if method == "GET" and len(segments) == 2:
+                wait, after = _wait_query(query)
+                record, revision = service.jobs.wait(
+                    segments[1], wait, after
+                )
                 return _json_response(
-                    200, service.job(segments[1]).to_dict()
+                    200, {**record.to_dict(), "revision": revision}
                 )
             if (
                 method == "POST"

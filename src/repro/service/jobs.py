@@ -1,12 +1,19 @@
-"""Job records and the persistent :class:`JobQueue` behind ``repro
+"""Job records and the thread-safe :class:`JobQueue` behind ``repro
 serve``.
 
 A **job** is one submitted suite run: the full :class:`~repro.suite.
 spec.SuiteSpec` dict, the execution options, and everything the run
 produced.  Records are plain JSON — they round-trip losslessly through
-``to_dict``/``from_dict`` — and every mutation is persisted atomically
-under ``<store>/jobs/<job_id>.json``, so a restarted server recovers
-its whole job table from the store directory it serves.
+``to_dict``/``from_dict``.  The queue writes a record to
+``<store>/jobs/<job_id>.json`` (atomically) on creation, on every state
+transition and on a cancel request, so a restarted server recovers its
+whole job table from the store directory it serves.  The live per-cell
+``progress`` snapshot is kept in memory only: a job file holds the
+job's state, not its live progress, so a job costs the same three
+writes whatever its cell count.
+
+Every mutation bumps the job's in-memory **revision** and wakes
+:meth:`JobQueue.wait`, the long-poll behind ``GET /jobs/{id}?wait=S``.
 
 State machine (enforced — an illegal transition raises
 :class:`JobStateError`, which the HTTP layer maps to 409)::
@@ -18,7 +25,9 @@ State machine (enforced — an illegal transition raises
 Terminal states are immutable.  :meth:`JobQueue.recover` re-queues
 jobs that were ``running`` when the previous server died — the store-
 backed resume property makes re-executing them idempotent (completed
-cells are served as verified hits).
+cells are served as verified hits), so losing the in-flight progress
+snapshot costs nothing.  A ``running`` job whose cancel request was
+persisted is recovered as ``cancelled`` instead.
 """
 
 from __future__ import annotations
@@ -29,13 +38,14 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "JOB_STATES",
     "TERMINAL_STATES",
     "JobError",
     "JobStateError",
+    "QueueClosedError",
     "JobRecord",
     "JobQueue",
 ]
@@ -63,6 +73,12 @@ class JobStateError(JobError):
     """Illegal state transition (the HTTP layer maps this to 409)."""
 
 
+class QueueClosedError(RuntimeError):
+    """The queue (the service) is shut down: no new job, and no
+    long-poll that would have to park (the HTTP layer maps this to
+    503)."""
+
+
 def new_job_id() -> str:
     return uuid.uuid4().hex[:12]
 
@@ -72,7 +88,8 @@ class JobRecord:
     """One submitted suite run, JSON-round-trippable.
 
     ``progress`` is the live ``[completed/total]`` snapshot the runner's
-    per-cell callbacks maintain; ``report`` is the full
+    per-cell callbacks maintain (in memory: a job file holds the
+    snapshot of its last persisted write); ``report`` is the full
     ``SuiteReport.to_dict()`` once the job reaches a terminal state;
     ``result_keys`` are the store keys of every cell artifact, in cell
     order, for ``GET /results/{key}`` fetches.
@@ -145,20 +162,27 @@ class JobRecord:
 
 
 class JobQueue:
-    """The persistent, thread-safe job table under ``<root>/jobs/``.
+    """The thread-safe job table, persisted under ``<root>/jobs/``.
 
-    Every mutation goes through one lock and is written atomically
-    (pid-unique temp file + ``os.replace``), so request threads, job
-    worker threads and a concurrent reader of the directory always see
-    complete records.  A half-written or unparsable record file is
-    skipped on load — it can never poison the table.
+    Every mutation goes through one lock.  Creation, state transitions
+    and cancel requests are written atomically (pid-unique temp file +
+    ``os.replace``), so a concurrent reader of the directory always sees
+    complete records; the live progress snapshot stays in memory.  A
+    half-written or unparsable record file is skipped on load — it can
+    never poison the table.
+
+    Every mutation also bumps the job's revision (1 on creation or
+    load) and wakes the threads parked in :meth:`wait`.
     """
 
     def __init__(self, root: str):
         self.root = os.path.join(os.fspath(root), "jobs")
         os.makedirs(self.root, exist_ok=True)
         self._lock = threading.RLock()
+        self._changed = threading.Condition(self._lock)
         self._jobs: Dict[str, JobRecord] = {}
+        self._revisions: Dict[str, int] = {}
+        self._closed = False
         self._load()
 
     # -- persistence ---------------------------------------------------------
@@ -176,14 +200,25 @@ class JobQueue:
             except (OSError, json.JSONDecodeError, KeyError, ValueError):
                 continue
             self._jobs[record.job_id] = record
+            self._revisions[record.job_id] = 1
 
     def _persist(self, record: JobRecord) -> None:
         path = self._path(record.job_id)
         tmp = f"{path}.{os.getpid()}.tmp"
+        # one json.dumps without indent runs the C encoder; json.dump
+        # and indent= fall back to the pure-Python one
+        text = json.dumps(
+            record.to_dict(), sort_keys=True, separators=(",", ":")
+        )
         with open(tmp, "w") as handle:
-            json.dump(record.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(text + "\n")
         os.replace(tmp, path)
+
+    def _changed_locked(self, job_id: str) -> None:
+        """Bump the job's revision and wake every parked :meth:`wait`
+        (caller holds the lock)."""
+        self._revisions[job_id] += 1
+        self._changed.notify_all()
 
     # -- access --------------------------------------------------------------
 
@@ -198,6 +233,33 @@ class JobQueue:
         :meth:`transition`, never on the returned record."""
         with self._lock:
             return JobRecord.from_dict(self._record(job_id).to_dict())
+
+    def wait(
+        self, job_id: str, timeout: float, after: Optional[int] = None
+    ) -> Tuple[JobRecord, int]:
+        """Long-poll one job -> (a copy of its record, its revision).
+
+        Parks for up to ``timeout`` seconds until the job is terminal
+        or, when ``after`` is given, until its revision passes
+        ``after``; ``timeout=0`` answers at once.  An unknown job raises
+        :class:`JobError` at once.  Once :meth:`close` is called, a
+        wait that would have to park raises :class:`QueueClosedError`,
+        and so do the ones parked at that moment.
+        """
+        deadline = time.monotonic() + timeout
+        with self._changed:
+            while True:
+                record = self._record(job_id)
+                revision = self._revisions[job_id]
+                if record.finished or (after is not None and revision > after):
+                    break
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                if self._closed:
+                    raise QueueClosedError("the service is shut down")
+                self._changed.wait(remaining)
+            return JobRecord.from_dict(record.to_dict()), revision
 
     def list(self, state: Optional[str] = None) -> List[JobRecord]:
         with self._lock:
@@ -234,23 +296,34 @@ class JobQueue:
             if record.job_id in self._jobs:
                 raise JobError(f"duplicate job id {record.job_id!r}")
             self._jobs[record.job_id] = record
+            self._revisions[record.job_id] = 1
             self._persist(record)
             return JobRecord.from_dict(record.to_dict())
 
     def update(self, job_id: str, **fields) -> JobRecord:
         """Update non-state fields (progress snapshots, mostly) on a
-        live job; a terminal job is immutable."""
+        live job; a terminal job is immutable.
+
+        The change is kept in memory — the next transition writes it —
+        except a ``progress`` that newly carries ``cancel_requested``:
+        that cancel request is written at once, so a restarted server
+        honours it (see :meth:`recover`)."""
         with self._lock:
             record = self._record(job_id)
             if record.finished:
                 raise JobStateError(
                     f"job {job_id} is already {record.state}"
                 )
+            cancel = bool(
+                (fields.get("progress") or {}).get("cancel_requested")
+            ) and not record.progress.get("cancel_requested")
             for name, value in fields.items():
                 if not hasattr(record, name) or name == "state":
                     raise ValueError(f"unknown job field {name!r}")
                 setattr(record, name, value)
-            self._persist(record)
+            if cancel:
+                self._persist(record)
+            self._changed_locked(job_id)
             return JobRecord.from_dict(record.to_dict())
 
     def transition(self, job_id: str, state: str, **fields) -> JobRecord:
@@ -278,6 +351,7 @@ class JobQueue:
                     raise ValueError(f"unknown job field {name!r}")
                 setattr(record, name, value)
             self._persist(record)
+            self._changed_locked(job_id)
             return JobRecord.from_dict(record.to_dict())
 
     def recover(self) -> List[str]:
@@ -285,17 +359,35 @@ class JobQueue:
 
         ``running`` records on disk mean the previous process died with
         the job in flight; the store makes re-execution idempotent, so
-        they go back to ``queued`` (flagged ``recovered``).  Returns
-        the re-queued ids.
+        they go back to ``queued`` (flagged ``recovered``).  One whose
+        cancel request was persisted is ``cancelled`` instead — the
+        request must not be lost to the restart.  Returns the re-queued
+        ids.
         """
         requeued = []
         with self._lock:
             for record in self._jobs.values():
                 if record.state != "running":
                     continue
+                if record.progress.get("cancel_requested"):
+                    self.transition(
+                        record.job_id,
+                        "cancelled",
+                        error="cancelled: the server restarted before "
+                        "the job reached a cell boundary",
+                    )
+                    continue
                 record.state = "queued"
                 record.started_at = None
                 record.recovered = True
                 self._persist(record)
+                self._changed_locked(record.job_id)
                 requeued.append(record.job_id)
         return sorted(requeued)
+
+    def close(self) -> None:
+        """Refuse long-polls from now on and wake the parked ones
+        (they raise :class:`QueueClosedError`); idempotent."""
+        with self._lock:
+            self._closed = True
+            self._changed.notify_all()

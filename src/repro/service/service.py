@@ -18,8 +18,9 @@ Execution reuses the whole batch stack: each job runs a
 per-cell store lookups make a re-submitted identical suite complete as
 verified hits without invoking the simulator, and the runner's
 per-cell progress callbacks maintain the live ``[i/N]`` snapshot that
-``GET /jobs/{id}`` serves.  Cancellation is cooperative: the runner
-polls the job's cancel flag between cells.
+``GET /jobs/{id}`` serves (held in memory; each one wakes the
+long-polls parked on the job).  Cancellation is cooperative: the
+runner polls the job's cancel flag between cells.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ from typing import Dict, List, Optional, Union
 
 from repro.faultsim.vectorsim import check_engine
 from repro.results import ResultStore
-from repro.service.jobs import JobQueue, JobRecord, JobStateError
+from repro.service.jobs import (
+    JobQueue,
+    JobRecord,
+    JobStateError,
+    QueueClosedError,
+)
 from repro.suite.runner import SuiteRunner
 from repro.suite.spec import FAMILIES, SuiteSpec
 
@@ -107,11 +113,13 @@ class CampaignService:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
-        """Drain (or abandon) the worker pool; idempotent."""
+        """Wake every parked long-poll, then drain (or abandon) the
+        worker pool; idempotent."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+        self.jobs.close()
         self._pool.shutdown(wait=wait, cancel_futures=not wait)
 
     def __enter__(self) -> "CampaignService":
@@ -145,7 +153,7 @@ class CampaignService:
         """Queue a suite for execution; returns the ``queued`` record
         immediately (poll :meth:`job` or ``ServiceClient.wait``)."""
         if self._closed:
-            raise RuntimeError("the service is shut down")
+            raise QueueClosedError("the service is shut down")
         spec = self._resolve_suite(suite)
         options = _validate_options(options or {})
         record = self.jobs.create(
@@ -173,16 +181,16 @@ class CampaignService:
         def progress(event: dict) -> None:
             if event.get("event") != "done":
                 return
+            snapshot = {
+                "completed": event["index"] + 1,
+                "total": event["total"],
+                "cell": event["cell"],
+                "status": event.get("status"),
+            }
+            if flag.is_set():  # a cancel request outlives the snapshot
+                snapshot["cancel_requested"] = True
             try:
-                self.jobs.update(
-                    job_id,
-                    progress={
-                        "completed": event["index"] + 1,
-                        "total": event["total"],
-                        "cell": event["cell"],
-                        "status": event.get("status"),
-                    },
-                )
+                self.jobs.update(job_id, progress=snapshot)
             except JobStateError:
                 pass  # terminal already (late pooled event)
 

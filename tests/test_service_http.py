@@ -2,18 +2,25 @@
 server + ServiceClient over a real socket.
 
 `InProcessClient` proves the API; these tests prove the transport —
-status codes, content types, malformed bodies, and the acceptance
-scenario of two `ServiceClient`s racing suites against one live
-server."""
+status codes, content types, malformed bodies, the long-poll, the
+acceptance scenario of two `ServiceClient`s racing suites against one
+live server, and a `repro serve` process killed mid-suite and
+restarted on its store."""
 
 import http.client
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.parse
 
 import pytest
 
+import repro
 from repro.service import (
     CampaignService,
     Router,
@@ -22,7 +29,8 @@ from repro.service import (
     serving,
 )
 from repro.service import handlers
-from repro.service.handlers import MAX_BODY_BYTES
+from repro.service.handlers import MAX_BODY_BYTES, MAX_WAIT_S
+from repro.suite.spec import MatrixBlock, SuiteSpec
 
 from test_suite import tiny_suite
 
@@ -74,6 +82,48 @@ class TestRouter:
         status, _, _ = self.route(service, "GET", "/healthz?probe=1")
         assert status == 200
 
+    def test_job_responses_carry_the_revision(self, service):
+        record = service.jobs.create(suite="s", spec={})
+        status, _, body = self.route(service, "GET", f"/jobs/{record.job_id}")
+        assert status == 200
+        assert json.loads(body)["revision"] == 1
+        # a wait far over the cap is accepted (and capped); after=1
+        # answers at once, as the update moved the job to revision 2
+        service.jobs.update(record.job_id, progress={"completed": 0})
+        status, _, body = self.route(
+            service, "GET", f"/jobs/{record.job_id}?wait=1e9&after=1"
+        )
+        assert (status, json.loads(body)["revision"]) == (200, 2)
+        assert handlers._wait_query({"wait": ["1e9"]}) == (MAX_WAIT_S, None)
+        assert MAX_WAIT_S < handlers.REQUEST_TIMEOUT_S
+        assert MAX_WAIT_S < ServiceClient("http://x").timeout
+
+    def test_router_keeps_no_per_request_state(self, service):
+        # one router serves every handler thread: a parked long-poll and
+        # a bad query racing it through the same router each get their
+        # own answer
+        router = Router(service)
+        record = service.jobs.create(suite="s", spec={})
+        box = {}
+
+        def park():
+            box["parked"] = router.route(
+                "GET", f"/jobs/{record.job_id}?wait=10&after=1"
+            )
+
+        thread = threading.Thread(target=park)
+        thread.start()
+        time.sleep(0.05)
+        status, _, body = router.route("GET", "/jobs/nope?wait=abc")
+        assert status == 400 and "wait must be" in json.loads(body)["error"]
+        assert thread.is_alive()  # still parked on its own query
+        service.jobs.transition(record.job_id, "running")
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        status, _, body = box["parked"]
+        assert status == 200 and json.loads(body)["state"] == "running"
+        assert vars(router) == {"service": service}
+
 
 class TestOverTheWire:
     def test_health_and_submit_over_a_real_socket(self, service):
@@ -121,6 +171,53 @@ class TestOverTheWire:
             with pytest.raises(ServiceError) as err:
                 client.cancel(job["job_id"])
             assert err.value.status == 409
+
+    def test_long_poll_over_a_real_socket(self, service):
+        with serving(service) as url:
+            client = ServiceClient(url)
+            job = client.wait(client.submit(tiny_suite())["job_id"])
+            assert job["state"] == "done"
+
+            start = time.monotonic()
+            again = client._json("GET", f"/jobs/{job['job_id']}?wait=5")
+            assert time.monotonic() - start < 2.5
+            assert again["state"] == "done"
+
+            for path, status in (
+                (f"/jobs/{job['job_id']}?wait=abc", 400),
+                (f"/jobs/{job['job_id']}?wait=1&after=2.5", 400),
+                ("/jobs/nope?wait=5", 404),
+            ):
+                start = time.monotonic()
+                with pytest.raises(ServiceError) as err:
+                    client._json("GET", path)
+                assert err.value.status == status
+                assert "\n" not in err.value.message
+                assert time.monotonic() - start < 2.5
+
+    def test_close_wakes_a_long_poll_parked_on_the_socket(self, tmp_path):
+        service = CampaignService(str(tmp_path / "store"))
+        record = service.jobs.create(suite="s", spec={})
+        box = {}
+        with serving(service) as url:
+            client = ServiceClient(url)
+
+            def park():
+                try:
+                    client._json("GET", f"/jobs/{record.job_id}?wait=10")
+                except ServiceError as exc:
+                    box["error"] = exc
+                box["returned"] = time.monotonic()
+
+            waiter = threading.Thread(target=park)
+            waiter.start()
+            time.sleep(0.2)
+            closing = time.monotonic()
+            service.close()
+            waiter.join(timeout=5)
+        assert not waiter.is_alive()
+        assert box["returned"] - closing < 1
+        assert box["error"].status == 503
 
     def test_unreachable_server_raises_status_zero(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=0.5)
@@ -255,3 +352,100 @@ class TestRequestBodies:
                 )
                 assert sock.recv(1024) == b""  # closed, no response
             assert ServiceClient(url).health()["status"] == "ok"
+
+
+def kill_test_suite():
+    """One fast cell, then two serial-engine decoder cells of about a
+    second each: time enough to kill the server between cells."""
+    fast = MatrixBlock(
+        family="transient",
+        label="fast",
+        targets=({"words": 16, "bits": 8, "column_mux": 4},),
+        workloads=({"family": "uniform", "cycles": 64, "seed": 1},),
+        scenarios={"population": "upset-stride", "stride": 4, "cycle": 4},
+    )
+    slow = MatrixBlock(
+        family="decoder",
+        label="slow",
+        targets=({"words": 512, "bits": 8, "c": 10, "pndc": 1e-9},),
+        workloads=(
+            {"family": "uniform", "cycles": 64, "seed": 3},
+            {"family": "uniform", "cycles": 96, "seed": 3},
+        ),
+        scenarios={"population": "decoder-stuck-ats"},
+        policies=({"engine": "serial"},),
+    )
+    return SuiteSpec(name="kill", blocks=(fast, slow))
+
+
+class TestKillAndRestart:
+    """A real ``repro serve`` process SIGKILLed mid-suite: the restarted
+    server on the same store re-queues the job, and the cells completed
+    before the kill come back as verified store hits."""
+
+    def serve(self, store):
+        """Start ``repro serve`` on an ephemeral port -> (process, url)."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--store", store,
+                "--port", "0", "--quiet",
+            ],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        banner = process.stderr.readline()
+        assert banner.startswith("repro service on http://"), banner
+        return process, banner.split()[3]
+
+    def test_sigkill_mid_suite_then_restart_finishes_done(self, tmp_path):
+        store = str(tmp_path / "store")
+        process, url = self.serve(store)
+        try:
+            client = ServiceClient(url)
+            job = client.submit(kill_test_suite())
+            before = {}
+
+            class Killed(Exception):
+                pass
+
+            def on_progress(snapshot):
+                if (snapshot.get("progress") or {}).get("completed"):
+                    before.update(snapshot["progress"])
+                    process.kill()  # SIGKILL: no shutdown path runs
+                    raise Killed
+
+            with pytest.raises(Killed):
+                client.wait(job["job_id"], timeout=120, progress=on_progress)
+        finally:
+            process.kill()
+            process.wait(timeout=30)
+            process.stderr.close()
+        assert process.returncode == -signal.SIGKILL
+        completed = before["completed"]
+        assert 1 <= completed < before["total"] == 3
+
+        process, url = self.serve(store)
+        try:
+            assert f"recovered 1 interrupted job(s): {job['job_id']}" in (
+                process.stderr.readline()
+            )
+            job = ServiceClient(url).wait(job["job_id"], timeout=120)
+        finally:
+            process.send_signal(signal.SIGINT)
+            process.wait(timeout=30)
+            process.stderr.close()
+        assert job["state"] == "done"
+        assert job["recovered"]
+        execution = job["report"]["execution"]
+        assert execution["cells"] == 3 and execution["errors"] == 0
+        assert execution["verified_hits"] >= completed
+        first = [cell["execution"] for cell in job["report"]["cells"]]
+        first = first[:completed]
+        assert [cell["status"] for cell in first] == ["hit"] * completed
+        assert all(cell["verified"] for cell in first)
