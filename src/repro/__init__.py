@@ -22,6 +22,19 @@ Quick path (the paper's design flow, via the unified design API)::
 
 Batch exploration: ``engine.sweep(DesignSpec.grid(...), workers=4)``.
 
+Names load on first use
+-----------------------
+
+``import repro`` runs no layer: every name in ``__all__`` here and in
+the subpackages below (except :mod:`repro.analysis`, whose rule
+modules must register before ``RULES`` is read) resolves on first
+access, through a PEP 562 module ``__getattr__`` built by
+:func:`repro._lazy.lazy_exports`.  ``from repro import ResultStore``
+therefore loads the stdlib-only results layer and nothing else, while
+``from repro import DesignEngine`` pulls in the design flow and, with
+it, NumPy.  The ``results``, ``store``, ``jobs``, ``fetch`` and
+``submit`` commands start without NumPy.
+
 Layer map
 ---------
 
@@ -124,94 +137,115 @@ Trend-analytics quick path (1.9+)::
     # `repro analytics report --out report.html`
 """
 
-from repro.analysis import AnalysisError, AnalysisReport, analyze
-from repro.area.model import PaperAreaModel
-from repro.area.stdcell import StdCellAreaModel
-from repro.codes.m_out_of_n import MOutOfNCode, maximal_code_for_width
-from repro.codes.parity import ParityCode
-from repro.core.latency import (
-    escape_probability,
-    pndc,
-    worst_escape_over_blocks,
-)
-from repro.core.mapping import (
-    IdentityMapping,
-    ModAMapping,
-    ParityMapping,
-    mapping_for_code,
-)
-from repro.core.safety import SafetyModel
-from repro.core.scheme import ReadResult, SelfCheckingMemory
-from repro.core.selection import (
-    CodeSelection,
-    SelectionPolicy,
-    select_code,
-    select_zero_latency_code,
-)
-from repro.core.tradeoff import TradeoffExplorer
-from repro.design import DesignEngine, DesignReport, DesignSpec
-from repro.memory.organization import (
-    PAPER_ORGS,
-    MemoryOrganization,
-    paper_org,
-)
-from repro.results import (
-    Provenance,
-    ResultSet,
-    ResultStore,
-)
-from repro.scenarios import (
-    CampaignEngine,
-    FaultScenario,
-    MemoryScenario,
-    StructuralScenario,
-    TransientScenario,
-    Workload,
-)
-from repro.service import CampaignService, ServiceClient
+from typing import TYPE_CHECKING
 
-__version__ = "2.3.0"
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "analyze",
-    "AnalysisReport",
-    "AnalysisError",
-    "DesignSpec",
-    "DesignEngine",
-    "DesignReport",
-    "CampaignEngine",
-    "CampaignService",
-    "ServiceClient",
-    "Workload",
-    "ResultSet",
-    "ResultStore",
-    "Provenance",
-    "FaultScenario",
-    "StructuralScenario",
-    "MemoryScenario",
-    "TransientScenario",
-    "MOutOfNCode",
-    "maximal_code_for_width",
-    "ParityCode",
-    "select_code",
-    "select_zero_latency_code",
-    "SelectionPolicy",
-    "CodeSelection",
-    "ModAMapping",
-    "ParityMapping",
-    "IdentityMapping",
-    "mapping_for_code",
-    "escape_probability",
-    "worst_escape_over_blocks",
-    "pndc",
-    "SelfCheckingMemory",
-    "ReadResult",
-    "SafetyModel",
-    "TradeoffExplorer",
-    "MemoryOrganization",
-    "PAPER_ORGS",
-    "paper_org",
-    "PaperAreaModel",
-    "StdCellAreaModel",
-]
+__version__ = "2.4.0"
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.driver": ("analyze",),
+        "repro.analysis.report": ("AnalysisReport", "AnalysisError"),
+        "repro.design.spec": ("DesignSpec",),
+        "repro.design.engine": ("DesignEngine",),
+        "repro.design.report": ("DesignReport",),
+        "repro.scenarios.engine": ("CampaignEngine",),
+        "repro.service.service": ("CampaignService",),
+        "repro.service.client": ("ServiceClient",),
+        "repro.scenarios.workload": ("Workload",),
+        "repro.results.resultset": ("ResultSet", "Provenance"),
+        "repro.results.store": ("ResultStore",),
+        "repro.scenarios.faults": (
+            "FaultScenario",
+            "StructuralScenario",
+            "MemoryScenario",
+            "TransientScenario",
+        ),
+        "repro.codes.m_out_of_n": ("MOutOfNCode", "maximal_code_for_width"),
+        "repro.codes.parity": ("ParityCode",),
+        "repro.core.selection": (
+            "select_code",
+            "select_zero_latency_code",
+            "SelectionPolicy",
+            "CodeSelection",
+        ),
+        "repro.core.mapping": (
+            "ModAMapping",
+            "ParityMapping",
+            "IdentityMapping",
+            "mapping_for_code",
+        ),
+        "repro.core.latency": (
+            "escape_probability",
+            "worst_escape_over_blocks",
+            "pndc",
+        ),
+        "repro.core.scheme": ("SelfCheckingMemory", "ReadResult"),
+        "repro.core.safety": ("SafetyModel",),
+        "repro.core.tradeoff": ("TradeoffExplorer",),
+        "repro.memory.organization": (
+            "MemoryOrganization",
+            "PAPER_ORGS",
+            "paper_org",
+        ),
+        "repro.area.model": ("PaperAreaModel",),
+        "repro.area.stdcell": ("StdCellAreaModel",),
+    },
+)
+__all__.insert(0, "__version__")
+
+if TYPE_CHECKING:
+    from repro.analysis.driver import analyze  # noqa: F401
+    from repro.analysis.report import (  # noqa: F401
+        AnalysisError,
+        AnalysisReport,
+    )
+    from repro.area.model import PaperAreaModel  # noqa: F401
+    from repro.area.stdcell import StdCellAreaModel  # noqa: F401
+    from repro.codes.m_out_of_n import (  # noqa: F401
+        MOutOfNCode,
+        maximal_code_for_width,
+    )
+    from repro.codes.parity import ParityCode  # noqa: F401
+    from repro.core.latency import (  # noqa: F401
+        escape_probability,
+        pndc,
+        worst_escape_over_blocks,
+    )
+    from repro.core.mapping import (  # noqa: F401
+        IdentityMapping,
+        ModAMapping,
+        ParityMapping,
+        mapping_for_code,
+    )
+    from repro.core.safety import SafetyModel  # noqa: F401
+    from repro.core.scheme import ReadResult, SelfCheckingMemory  # noqa: F401
+    from repro.core.selection import (  # noqa: F401
+        CodeSelection,
+        SelectionPolicy,
+        select_code,
+        select_zero_latency_code,
+    )
+    from repro.core.tradeoff import TradeoffExplorer  # noqa: F401
+    from repro.design.engine import DesignEngine  # noqa: F401
+    from repro.design.report import DesignReport  # noqa: F401
+    from repro.design.spec import DesignSpec  # noqa: F401
+    from repro.memory.organization import (  # noqa: F401
+        PAPER_ORGS,
+        MemoryOrganization,
+        paper_org,
+    )
+    from repro.results.resultset import Provenance, ResultSet  # noqa: F401
+    from repro.results.store import ResultStore  # noqa: F401
+    from repro.scenarios.engine import CampaignEngine  # noqa: F401
+    from repro.scenarios.faults import (  # noqa: F401
+        FaultScenario,
+        MemoryScenario,
+        StructuralScenario,
+        TransientScenario,
+    )
+    from repro.scenarios.workload import Workload  # noqa: F401
+    from repro.service.client import ServiceClient  # noqa: F401
+    from repro.service.service import CampaignService  # noqa: F401

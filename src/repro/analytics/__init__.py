@@ -23,57 +23,72 @@ regression — the ``repro store verify`` contract) and ``repro
 analytics report [--out report.html]``.
 """
 
-from repro.analytics.history import (
-    HistoryEntry,
-    append_entry,
-    git_sha,
-    load_entries,
-    load_history,
-)
-from repro.analytics.html import render_html
-from repro.analytics.model import (
-    Regression,
-    TrendGroup,
-    TrendPoint,
-    TrendSeries,
-)
-from repro.analytics.regress import (
-    DEFAULT_WINDOW,
-    MetricPolicy,
-    RegressReport,
-    default_policy,
-    detect,
-    known_benches,
-    select_series,
-)
-from repro.analytics.report import (
-    AnalyticsReport,
-    build_report,
-    run_regress,
-)
-from repro.analytics.trends import service_trends, store_trends
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "HistoryEntry",
-    "append_entry",
-    "git_sha",
-    "load_entries",
-    "load_history",
-    "render_html",
-    "Regression",
-    "TrendGroup",
-    "TrendPoint",
-    "TrendSeries",
-    "DEFAULT_WINDOW",
-    "MetricPolicy",
-    "RegressReport",
-    "default_policy",
-    "detect",
-    "known_benches",
-    "select_series",
-    "AnalyticsReport",
-    "build_report",
-    "run_regress",
-    "service_trends",
-    "store_trends",
-]
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analytics.history": (
+            "HistoryEntry",
+            "append_entry",
+            "git_sha",
+            "load_entries",
+            "load_history",
+        ),
+        "repro.analytics.html": ("render_html",),
+        "repro.analytics.model": (
+            "Regression",
+            "TrendGroup",
+            "TrendPoint",
+            "TrendSeries",
+        ),
+        "repro.analytics.regress": (
+            "DEFAULT_WINDOW",
+            "MetricPolicy",
+            "RegressReport",
+            "default_policy",
+            "detect",
+            "known_benches",
+            "select_series",
+        ),
+        "repro.analytics.report": (
+            "AnalyticsReport",
+            "build_report",
+            "run_regress",
+        ),
+        "repro.analytics.trends": ("service_trends", "store_trends"),
+    },
+)
+
+if TYPE_CHECKING:
+    from repro.analytics.history import (  # noqa: F401
+        HistoryEntry,
+        append_entry,
+        git_sha,
+        load_entries,
+        load_history,
+    )
+    from repro.analytics.html import render_html  # noqa: F401
+    from repro.analytics.model import (  # noqa: F401
+        Regression,
+        TrendGroup,
+        TrendPoint,
+        TrendSeries,
+    )
+    from repro.analytics.regress import (  # noqa: F401
+        DEFAULT_WINDOW,
+        MetricPolicy,
+        RegressReport,
+        default_policy,
+        detect,
+        known_benches,
+        select_series,
+    )
+    from repro.analytics.report import (  # noqa: F401
+        AnalyticsReport,
+        build_report,
+        run_regress,
+    )
+    from repro.analytics.trends import service_trends, store_trends  # noqa: F401

@@ -20,6 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.circuits.engines import ENGINES, check_engine
 from repro.circuits.faults import FaultBase
 from repro.circuits.netlist import Circuit
 from repro.circuits.parallel import (
@@ -39,21 +40,6 @@ __all__ = [
     "detects",
     "coverage",
 ]
-
-#: the engines every simulation and campaign driver accepts: the lane
-#: fast path and the serial oracle
-ENGINES = ("vector", "serial")
-
-
-def check_engine(engine: str) -> str:
-    """Validate an ``engine=`` argument (shared by all drivers); returns
-    it unchanged."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
-    return engine
-
 
 def _stimulus_lanes(circuit: Circuit, stimuli: Sequence[Sequence[int]]):
     """(evaluator, fault-free net table, lane mask) for a non-empty

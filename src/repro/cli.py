@@ -23,10 +23,9 @@ from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional
 
 from repro import __version__
+from repro.circuits.engines import ENGINES
 from repro.core.selection import SelectionPolicy, select_code
-from repro.design.engine import DesignEngine
 from repro.design.spec import CHECKER_STYLES, DesignSpec
-from repro.faultsim.vectorsim import CAMPAIGN_ENGINES
 from repro.memory.organization import PAPER_ORGS, MemoryOrganization, paper_org
 
 __all__ = ["main", "build_parser", "EXPERIMENTS"]
@@ -53,7 +52,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 
 #: campaign engine policies the CLI accepts (--engine)
-ENGINE_CHOICES = CAMPAIGN_ENGINES
+ENGINE_CHOICES = ENGINES
 
 
 def _validate_engine_args(args: argparse.Namespace) -> None:
@@ -142,6 +141,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.design.engine import DesignEngine
+
     _validate_engine_args(args)
     spec = DesignSpec(
         words=args.words,
@@ -204,6 +205,8 @@ def _parse_org(text: str) -> MemoryOrganization:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.design.engine import DesignEngine
+
     organizations = args.org or list(PAPER_ORGS)
     requirements = [
         (c, pndc) for c in args.cycles for pndc in args.pndc

@@ -11,36 +11,48 @@
   properties the scheme relies on.
 """
 
-from repro.codes.base import BitVector, Code, validate_bits
-from repro.codes.berger import BergerCode, berger_check_width
-from repro.codes.hamming import DecodeResult, HammingCode, hamming_check_bits
-from repro.codes.m_out_of_n import MOutOfNCode, maximal_code_for_width
-from repro.codes.parity import ParityCode
-from repro.codes.two_rail import TwoRailCode
-from repro.codes.unordered import (
-    and_of_distinct_words_is_noncode,
-    bitwise_and,
-    covers,
-    is_unordered_code,
-    violating_pairs,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.codes.base": ("BitVector", "Code", "validate_bits"),
+        "repro.codes.parity": ("ParityCode",),
+        "repro.codes.berger": ("BergerCode", "berger_check_width"),
+        "repro.codes.m_out_of_n": ("MOutOfNCode", "maximal_code_for_width"),
+        "repro.codes.two_rail": ("TwoRailCode",),
+        "repro.codes.hamming": (
+            "HammingCode",
+            "DecodeResult",
+            "hamming_check_bits",
+        ),
+        "repro.codes.unordered": (
+            "covers",
+            "bitwise_and",
+            "is_unordered_code",
+            "violating_pairs",
+            "and_of_distinct_words_is_noncode",
+        ),
+    },
 )
 
-__all__ = [
-    "BitVector",
-    "Code",
-    "validate_bits",
-    "ParityCode",
-    "BergerCode",
-    "berger_check_width",
-    "MOutOfNCode",
-    "maximal_code_for_width",
-    "TwoRailCode",
-    "HammingCode",
-    "DecodeResult",
-    "hamming_check_bits",
-    "covers",
-    "bitwise_and",
-    "is_unordered_code",
-    "violating_pairs",
-    "and_of_distinct_words_is_noncode",
-]
+if TYPE_CHECKING:
+    from repro.codes.base import BitVector, Code, validate_bits  # noqa: F401
+    from repro.codes.berger import BergerCode, berger_check_width  # noqa: F401
+    from repro.codes.hamming import (  # noqa: F401
+        DecodeResult,
+        HammingCode,
+        hamming_check_bits,
+    )
+    from repro.codes.m_out_of_n import MOutOfNCode, maximal_code_for_width  # noqa: F401
+    from repro.codes.parity import ParityCode  # noqa: F401
+    from repro.codes.two_rail import TwoRailCode  # noqa: F401
+    from repro.codes.unordered import (  # noqa: F401
+        and_of_distinct_words_is_noncode,
+        bitwise_and,
+        covers,
+        is_unordered_code,
+        violating_pairs,
+    )

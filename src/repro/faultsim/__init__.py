@@ -9,36 +9,50 @@ process-pool sharding; or ``"serial"``, the per-cycle reference oracle
 the vector engine is proven bit-identical against.
 """
 
-from repro.faultsim.campaign import (
-    classify_structural_fault,
-    decoder_campaign,
-    default_scheme_writer,
-    scheme_campaign,
-)
-from repro.faultsim.injector import (
-    decoder_fault_list,
-    rom_fault_list,
-    sample_faults,
-)
-from repro.faultsim.transient import TransientUpset
-from repro.faultsim.vectorsim import (
-    CAMPAIGN_ENGINES,
-    check_engine,
-    decoder_campaign_vector,
-    scheme_campaign_vector,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faultsim.transient": ("TransientUpset",),
+        "repro.circuits.engines": ("check_engine",),
+        "repro.faultsim.vectorsim": (
+            "CAMPAIGN_ENGINES",
+            "decoder_campaign_vector",
+            "scheme_campaign_vector",
+        ),
+        "repro.faultsim.campaign": (
+            "decoder_campaign",
+            "scheme_campaign",
+            "classify_structural_fault",
+            "default_scheme_writer",
+        ),
+        "repro.faultsim.injector": (
+            "decoder_fault_list",
+            "rom_fault_list",
+            "sample_faults",
+        ),
+    },
 )
 
-__all__ = [
-    "TransientUpset",
-    "CAMPAIGN_ENGINES",
-    "check_engine",
-    "decoder_campaign",
-    "decoder_campaign_vector",
-    "scheme_campaign",
-    "scheme_campaign_vector",
-    "classify_structural_fault",
-    "default_scheme_writer",
-    "decoder_fault_list",
-    "rom_fault_list",
-    "sample_faults",
-]
+if TYPE_CHECKING:
+    from repro.circuits.engines import check_engine  # noqa: F401
+    from repro.faultsim.campaign import (  # noqa: F401
+        classify_structural_fault,
+        decoder_campaign,
+        default_scheme_writer,
+        scheme_campaign,
+    )
+    from repro.faultsim.injector import (  # noqa: F401
+        decoder_fault_list,
+        rom_fault_list,
+        sample_faults,
+    )
+    from repro.faultsim.transient import TransientUpset  # noqa: F401
+    from repro.faultsim.vectorsim import (  # noqa: F401
+        CAMPAIGN_ENGINES,
+        decoder_campaign_vector,
+        scheme_campaign_vector,
+    )

@@ -41,6 +41,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.checkers.base import Checker
+from repro.circuits.engines import ENGINES, check_engine
 from repro.circuits.equivalence import collapse_faults
 from repro.circuits.faults import FaultBase, NetStuckAt, PinStuckAt
 from repro.circuits.parallel import (
@@ -50,7 +51,6 @@ from repro.circuits.parallel import (
     pack_bool,
     unpack_lanes,
 )
-from repro.circuits.simulator import ENGINES, check_engine
 from repro.core.scheme import SelfCheckingMemory
 from repro.results.resultset import ResultRecord, ResultSet, fault_id
 from repro.rom.nor_matrix import CheckedDecoder
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 #: engine policies accepted by the campaign layer: the fast path and
-#: the serial oracle — the :data:`repro.circuits.simulator.ENGINES` the
+#: the serial oracle — the :data:`repro.circuits.engines.ENGINES` the
 #: circuit-level drivers accept, validated by the same ``check_engine``
 CAMPAIGN_ENGINES = ENGINES
 

@@ -15,42 +15,54 @@ Every campaign returns a :class:`ResultSet` (the one result type since
   per-shard checkpoints for resumable ``workers=N`` campaigns.
 """
 
-from repro.results.resultset import (
-    Provenance,
-    ResultDiff,
-    ResultRecord,
-    ResultSet,
-    ResultSetWriter,
-    fault_id,
-)
-from repro.results.store import (
-    ResultStore,
-    ResultStoreError,
-    StoreEntry,
-    StoreStats,
-    campaign_key,
-    canonical_json,
-    content_digest,
-    describe_target,
-    scenario_material,
-    workload_material,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.results.resultset": (
+            "Provenance",
+            "ResultRecord",
+            "ResultSet",
+            "ResultSetWriter",
+            "ResultDiff",
+            "fault_id",
+        ),
+        "repro.results.store": (
+            "ResultStore",
+            "ResultStoreError",
+            "StoreEntry",
+            "StoreStats",
+            "campaign_key",
+            "canonical_json",
+            "content_digest",
+            "describe_target",
+            "scenario_material",
+            "workload_material",
+        ),
+    },
 )
 
-__all__ = [
-    "Provenance",
-    "ResultRecord",
-    "ResultSet",
-    "ResultSetWriter",
-    "ResultDiff",
-    "fault_id",
-    "ResultStore",
-    "ResultStoreError",
-    "StoreEntry",
-    "StoreStats",
-    "campaign_key",
-    "canonical_json",
-    "content_digest",
-    "describe_target",
-    "scenario_material",
-    "workload_material",
-]
+if TYPE_CHECKING:
+    from repro.results.resultset import (  # noqa: F401
+        Provenance,
+        ResultDiff,
+        ResultRecord,
+        ResultSet,
+        ResultSetWriter,
+        fault_id,
+    )
+    from repro.results.store import (  # noqa: F401
+        ResultStore,
+        ResultStoreError,
+        StoreEntry,
+        StoreStats,
+        campaign_key,
+        canonical_json,
+        content_digest,
+        describe_target,
+        scenario_material,
+        workload_material,
+    )

@@ -1,5 +1,15 @@
 """NOR/ROM matrix models for the decoder-checking scheme."""
 
-from repro.rom.nor_matrix import CheckedDecoder, NORMatrix
+from typing import TYPE_CHECKING
 
-__all__ = ["CheckedDecoder", "NORMatrix"]
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.rom.nor_matrix": ("CheckedDecoder", "NORMatrix"),
+    },
+)
+
+if TYPE_CHECKING:
+    from repro.rom.nor_matrix import CheckedDecoder, NORMatrix  # noqa: F401

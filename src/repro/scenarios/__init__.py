@@ -14,52 +14,64 @@ One vocabulary drives every campaign:
   campaign returns a :class:`repro.results.ResultSet`.
 """
 
-from repro.scenarios.engine import CampaignEngine
-from repro.scenarios.faults import (
-    FaultScenario,
-    MemoryScenario,
-    StructuralScenario,
-    TransientScenario,
-    as_scenarios,
-)
-from repro.scenarios.workload import (
-    NAMED_WORKLOADS,
-    Access,
-    BurstyWorkload,
-    ConcatWorkload,
-    ExplicitWorkload,
-    InterleavedWorkload,
-    MarchWorkload,
-    MixedWorkload,
-    ScrubbedWorkload,
-    SequentialWorkload,
-    UniformWorkload,
-    Workload,
-    as_workload,
-    named_workload,
-    workload_kinds,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.scenarios.workload": (
+            "Access",
+            "Workload",
+            "UniformWorkload",
+            "SequentialWorkload",
+            "BurstyWorkload",
+            "ScrubbedWorkload",
+            "MarchWorkload",
+            "MixedWorkload",
+            "ExplicitWorkload",
+            "ConcatWorkload",
+            "InterleavedWorkload",
+            "NAMED_WORKLOADS",
+            "named_workload",
+            "workload_kinds",
+            "as_workload",
+        ),
+        "repro.scenarios.faults": (
+            "FaultScenario",
+            "StructuralScenario",
+            "MemoryScenario",
+            "TransientScenario",
+            "as_scenarios",
+        ),
+        "repro.scenarios.engine": ("CampaignEngine",),
+    },
 )
 
-__all__ = [
-    "Access",
-    "Workload",
-    "UniformWorkload",
-    "SequentialWorkload",
-    "BurstyWorkload",
-    "ScrubbedWorkload",
-    "MarchWorkload",
-    "MixedWorkload",
-    "ExplicitWorkload",
-    "ConcatWorkload",
-    "InterleavedWorkload",
-    "NAMED_WORKLOADS",
-    "named_workload",
-    "workload_kinds",
-    "as_workload",
-    "FaultScenario",
-    "StructuralScenario",
-    "MemoryScenario",
-    "TransientScenario",
-    "as_scenarios",
-    "CampaignEngine",
-]
+if TYPE_CHECKING:
+    from repro.scenarios.engine import CampaignEngine  # noqa: F401
+    from repro.scenarios.faults import (  # noqa: F401
+        FaultScenario,
+        MemoryScenario,
+        StructuralScenario,
+        TransientScenario,
+        as_scenarios,
+    )
+    from repro.scenarios.workload import (  # noqa: F401
+        NAMED_WORKLOADS,
+        Access,
+        BurstyWorkload,
+        ConcatWorkload,
+        ExplicitWorkload,
+        InterleavedWorkload,
+        MarchWorkload,
+        MixedWorkload,
+        ScrubbedWorkload,
+        SequentialWorkload,
+        UniformWorkload,
+        Workload,
+        as_workload,
+        named_workload,
+        workload_kinds,
+    )

@@ -43,35 +43,44 @@ CLI: ``repro serve`` / ``repro submit`` / ``repro jobs`` /
 ``repro fetch``.
 """
 
-from repro.service.client import ServiceAPI, ServiceClient, ServiceError
-from repro.service.fakes import InProcessClient
-from repro.service.handlers import Router, make_server, serving
-from repro.service.jobs import (
-    JOB_STATES,
-    TERMINAL_STATES,
-    JobError,
-    JobQueue,
-    JobRecord,
-    JobStateError,
-    QueueClosedError,
-)
-from repro.service.service import JOB_OPTIONS, CampaignService
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "JOB_STATES",
-    "TERMINAL_STATES",
-    "JOB_OPTIONS",
-    "JobError",
-    "JobStateError",
-    "QueueClosedError",
-    "JobRecord",
-    "JobQueue",
-    "CampaignService",
-    "Router",
-    "make_server",
-    "serving",
-    "ServiceAPI",
-    "ServiceClient",
-    "ServiceError",
-    "InProcessClient",
-]
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.jobs": (
+            "JOB_STATES",
+            "TERMINAL_STATES",
+            "JobError",
+            "JobStateError",
+            "QueueClosedError",
+            "JobRecord",
+            "JobQueue",
+        ),
+        "repro.service.service": ("JOB_OPTIONS", "CampaignService"),
+        "repro.service.handlers": ("Router", "make_server", "serving"),
+        "repro.service.client": (
+            "ServiceAPI",
+            "ServiceClient",
+            "ServiceError",
+        ),
+        "repro.service.fakes": ("InProcessClient",),
+    },
+)
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceAPI, ServiceClient, ServiceError  # noqa: F401
+    from repro.service.fakes import InProcessClient  # noqa: F401
+    from repro.service.handlers import Router, make_server, serving  # noqa: F401
+    from repro.service.jobs import (  # noqa: F401
+        JOB_STATES,
+        TERMINAL_STATES,
+        JobError,
+        JobQueue,
+        JobRecord,
+        JobStateError,
+        QueueClosedError,
+    )
+    from repro.service.service import JOB_OPTIONS, CampaignService  # noqa: F401

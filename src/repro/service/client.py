@@ -17,6 +17,7 @@ Quick path::
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -29,7 +30,8 @@ __all__ = ["ServiceError", "ServiceAPI", "ServiceClient"]
 
 
 class ServiceError(RuntimeError):
-    """An error response (or an unreachable server: ``status == 0``)."""
+    """An error response, or ``status == 0``: no HTTP answer at all (the
+    server is unreachable, timed out or dropped the connection)."""
 
     def __init__(self, status: int, message: str):
         super().__init__(
@@ -203,4 +205,11 @@ class ServiceClient(ServiceAPI):
         except urllib.error.URLError as exc:
             raise ServiceError(
                 0, f"cannot reach {self.base_url}: {exc.reason}"
+            ) from None
+        except (OSError, http.client.HTTPException) as exc:
+            # urllib wraps only errors raised while sending; a socket
+            # timeout or a dropped connection while the response is
+            # read surfaces raw (TimeoutError, RemoteDisconnected, ...)
+            raise ServiceError(
+                0, f"cannot reach {self.base_url}: {exc}"
             ) from None

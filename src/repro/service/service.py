@@ -29,7 +29,7 @@ import threading
 from concurrent import futures
 from typing import Dict, List, Optional, Union
 
-from repro.faultsim.vectorsim import check_engine
+from repro.circuits.engines import check_engine
 from repro.results import ResultStore
 from repro.service.jobs import (
     JobQueue,

@@ -26,35 +26,39 @@ Quick path::
 CLI: ``repro suite run|ls|show``.
 """
 
-from repro.suite.builtin import (
-    BUILTIN_SUITES,
-    builtin_names,
-    builtin_suite,
-    load_suite,
-)
-from repro.suite.populations import POPULATIONS, build_population
-from repro.suite.report import CellOutcome, SuiteReport
-from repro.suite.runner import SuiteRunner, execute_cell
-from repro.suite.spec import (
-    FAMILIES,
-    CampaignCell,
-    MatrixBlock,
-    SuiteSpec,
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.suite.spec": (
+            "FAMILIES",
+            "CampaignCell",
+            "MatrixBlock",
+            "SuiteSpec",
+        ),
+        "repro.suite.populations": ("POPULATIONS", "build_population"),
+        "repro.suite.runner": ("SuiteRunner", "execute_cell"),
+        "repro.suite.report": ("CellOutcome", "SuiteReport"),
+        "repro.suite.builtin": (
+            "BUILTIN_SUITES",
+            "builtin_names",
+            "builtin_suite",
+            "load_suite",
+        ),
+    },
 )
 
-__all__ = [
-    "FAMILIES",
-    "CampaignCell",
-    "MatrixBlock",
-    "SuiteSpec",
-    "POPULATIONS",
-    "build_population",
-    "SuiteRunner",
-    "execute_cell",
-    "CellOutcome",
-    "SuiteReport",
-    "BUILTIN_SUITES",
-    "builtin_names",
-    "builtin_suite",
-    "load_suite",
-]
+if TYPE_CHECKING:
+    from repro.suite.builtin import (  # noqa: F401
+        BUILTIN_SUITES,
+        builtin_names,
+        builtin_suite,
+        load_suite,
+    )
+    from repro.suite.populations import POPULATIONS, build_population  # noqa: F401
+    from repro.suite.report import CellOutcome, SuiteReport  # noqa: F401
+    from repro.suite.runner import SuiteRunner, execute_cell  # noqa: F401
+    from repro.suite.spec import FAMILIES, CampaignCell, MatrixBlock, SuiteSpec  # noqa: F401

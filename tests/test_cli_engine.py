@@ -13,6 +13,15 @@ class TestEngineChoices:
     def test_choices_cover_the_campaign_policies(self):
         assert set(ENGINE_CHOICES) == {"vector", "serial"}
 
+    def test_every_layer_validates_against_one_tuple(self):
+        from repro.circuits import engines, simulator
+        from repro.faultsim import CAMPAIGN_ENGINES, check_engine
+
+        assert ENGINE_CHOICES is engines.ENGINES
+        assert simulator.ENGINES is engines.ENGINES
+        assert CAMPAIGN_ENGINES is engines.ENGINES
+        assert check_engine is simulator.check_engine
+
     def test_unknown_engine_rejected(self, capsys):
         # the retired packed/auto policies are unknown like any other
         for engine in ("warp", "packed", "auto"):

@@ -123,6 +123,14 @@ class TestClientCommands:
         assert code == 0
         assert "3/3" in out
 
+        # the wire body is compact; the CLI prints it indented
+        code, out, _ = run_cli(
+            capsys, "jobs", job["job_id"], "--url", url, "--json"
+        )
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert json.loads(out)["job_id"] == job["job_id"]
+
         key = job["result_keys"][0]
         code, out, _ = run_cli(capsys, "fetch", key, "--url", url)
         assert code == 0

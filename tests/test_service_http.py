@@ -7,6 +7,7 @@ acceptance scenario of two `ServiceClient`s racing suites against one
 live server, and a `repro serve` process killed mid-suite and
 restarted on its store."""
 
+import contextlib
 import http.client
 import json
 import os
@@ -225,6 +226,18 @@ class TestOverTheWire:
             client.health()
         assert err.value.status == 0
 
+    def test_wire_bodies_are_compact_in_payload_key_order(self, service):
+        record = service.jobs.create(suite="s", spec={"name": "s"})
+        with serving(service) as url:
+            status, content_type, body = ServiceClient(url)._request(
+                "GET", f"/jobs/{record.job_id}"
+            )
+        assert (status, content_type) == (200, handlers.JSON_TYPE)
+        job = json.loads(body)
+        assert body == (json.dumps(job, separators=(",", ":")) + "\n").encode()
+        expected = {**service.job(record.job_id).to_dict(), "revision": 1}
+        assert list(job) == list(expected)
+
     def test_two_service_clients_racing_one_server(self, service):
         # ISSUE acceptance: two ServiceClients submitting concurrently
         # against one server + one store both complete with verified
@@ -272,6 +285,58 @@ class TestOverTheWire:
                 survivor = client.job(job["job_id"])
                 assert survivor["state"] == "done"
                 assert client.records(job["result_keys"][0])
+
+
+@contextlib.contextmanager
+def raw_listener(handle):
+    """A bare TCP listener on an ephemeral port whose one accepted
+    connection is given to ``handle(conn, release)``; yields its URL.
+    ``release`` is set when the test leaves the block."""
+    server = socket.create_server(("127.0.0.1", 0))
+    server.settimeout(10)
+    release = threading.Event()
+
+    def accept_one():
+        try:
+            conn, _ = server.accept()
+        except OSError:
+            return
+        with conn:
+            handle(conn, release)
+
+    thread = threading.Thread(target=accept_one, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.getsockname()[1]}"
+    finally:
+        release.set()
+        thread.join(timeout=10)
+        server.close()
+
+
+class TestNoHttpAnswer:
+    """A server that takes the connection but sends no HTTP answer is a
+    ``ServiceError`` with status 0, as an unreachable one is: never a
+    raw ``TimeoutError`` a caller would mistake for ``wait``'s own
+    deadline, nor an ``http.client`` exception."""
+
+    def test_a_server_that_never_answers(self):
+        with raw_listener(lambda conn, release: release.wait(10)) as url:
+            with pytest.raises(ServiceError) as err:
+                ServiceClient(url, timeout=0.5).health()
+        assert err.value.status == 0
+        assert "cannot reach" in str(err.value)
+        assert "timed out" in str(err.value)
+
+    def test_a_server_that_hangs_up_without_answering(self):
+        def hang_up(conn, release):
+            conn.recv(65536)  # the whole request, so the close is a FIN
+
+        with raw_listener(hang_up) as url:
+            with pytest.raises(ServiceError) as err:
+                ServiceClient(url, timeout=5).health()
+        assert err.value.status == 0
+        assert "cannot reach" in str(err.value)
 
 
 class TestRequestBodies:
