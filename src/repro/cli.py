@@ -502,10 +502,27 @@ def _cmd_results_ls(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_entry(store, key: str):
+    """The hash-verified stored set of a resolved ``key``.
+
+    ``resolve`` lists a key by its meta file, so a removed payload or
+    an unreadable meta makes ``get`` miss: that is one line naming the
+    key, not a crash on ``None``.
+    """
+    result = store.get(key)
+    if result is None:
+        raise LookupError(
+            f"store entry {key} is incomplete (payload missing or "
+            f"metadata unreadable); run `repro store verify --store "
+            f"{store.root}`"
+        )
+    return result
+
+
 def _cmd_results_show(args: argparse.Namespace) -> int:
     store = _open_store(args)
     key = store.resolve(args.key)
-    result = store.get(key)
+    result = _read_entry(store, key)
     payload = {
         "key": key,
         "summary": result.summary(),
@@ -542,8 +559,8 @@ def _cmd_results_show(args: argparse.Namespace) -> int:
 
 def _cmd_results_diff(args: argparse.Namespace) -> int:
     store = _open_store(args)
-    left = store.get(store.resolve(args.left))
-    right = store.get(store.resolve(args.right))
+    left = _read_entry(store, store.resolve(args.left))
+    right = _read_entry(store, store.resolve(args.right))
     diff = left.diff(right)
     if args.json:
         _emit(args, json.dumps(diff.to_dict(), indent=2))
@@ -554,8 +571,7 @@ def _cmd_results_diff(args: argparse.Namespace) -> int:
 
 def _cmd_results_export(args: argparse.Namespace) -> int:
     store = _open_store(args)
-    key = store.resolve(args.key)
-    result = store.get(key)  # hash-verified read
+    result = _read_entry(store, store.resolve(args.key))
     if args.out:
         result.write_jsonl(args.out)
         print(f"wrote {args.out}")

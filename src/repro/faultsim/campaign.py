@@ -214,7 +214,10 @@ def scheme_campaign(
 
     ``writer`` initialises memory contents before each fault run (default:
     :func:`default_scheme_writer`, an address-dependent pattern so decoder
-    aliasing is observable in the data path too).
+    aliasing is observable in the data path too).  The vector engine
+    builds those default contents as one array and bulk-loads them
+    (:func:`~repro.faultsim.vectorsim.default_scheme_image`) unless a
+    behavioural fault registered on the RAM must see the writes.
 
     ``engine``/``collapse``/``workers``/``chunk`` act as in
     :func:`decoder_campaign`: ``"vector"`` evaluates the whole

@@ -11,6 +11,16 @@ collapsed fault list).  Checkers judge the lanes through their
 vectorized trailing-bit arithmetic; there is no per-fault Python in the
 hot path.
 
+Scheme campaigns never read through the behavioural RAM either.  The
+array contents are one (words, word_width) image: with the default
+writer it is built columnar (:func:`default_scheme_image`) and
+bulk-loaded into the RAM, otherwise snapshotted once after the writer
+ran.  Structural faults resolve the parity data path against that
+image, and each behavioural memory fault patches its read effect into
+a copy of it
+(:meth:`~repro.memory.faults.MemoryFault.apply_read_image`) and is
+judged at every address in one lane batch.
+
 Memory is bounded on both axes.  Campaigns run in cycle windows that
 ramp up from one lane word (:func:`_windows`): the first window is 64
 lanes and each later one doubles the trace covered so far, up to a cap
@@ -60,6 +70,7 @@ __all__ = [
     "DEFAULT_WINDOW",
     "check_engine",
     "decoder_campaign_vector",
+    "default_scheme_image",
     "scheme_campaign_vector",
 ]
 
@@ -375,16 +386,50 @@ def decoder_campaign_vector(
 
 # -- scheme campaigns --------------------------------------------------------
 
+#: multiplier of :func:`~repro.faultsim.campaign.default_scheme_writer`'s
+#: address-mixing pattern
+_MIX = 0x9E3779B1
+
+
+def default_scheme_image(ram) -> Optional["np.ndarray"]:
+    """What the default writer leaves stored in ``ram``, as one array.
+
+    The (words, word_width) uint8 counterpart of
+    :func:`~repro.faultsim.campaign.default_scheme_writer`, built
+    without a write per address.
+
+    Data bit ``i`` of address ``a`` is ``((a * 0x9E3779B1) >> i) & 1``,
+    followed by the RAM's even or odd parity bit when it has one.  The
+    products are exact in ``uint64`` for up to 2**32 words, and bits at
+    64 and above of a product below 2**64 are 0.  A larger RAM gets
+    ``None``, and the caller falls back to the writer.
+    """
+    org = ram.organization
+    if (org.words - 1) * _MIX >= 1 << 64:
+        return None
+    product = np.arange(org.words, dtype=np.uint64) * np.uint64(_MIX)
+    shifts = np.arange(min(org.bits, 64), dtype=np.uint64)
+    image = np.zeros((org.words, ram.word_width), dtype=np.uint8)
+    image[:, : len(shifts)] = (product[:, None] >> shifts) & np.uint64(1)
+    if ram.with_parity:
+        ones = np.bitwise_xor.reduce(image[:, : org.bits], axis=1)
+        image[:, org.bits] = ones if ram.parity_code.even else ones ^ 1
+    return image
+
 
 class _VectorSchemeState:
     """Shared golden context for one vectorized scheme campaign.
 
-    Structural axis faults never touch the behavioural model: each
-    cap-wide block of the trace packs both decoders' golden passes once
-    (each axis's golden doubles as the other axis's fault-free
-    reference) and the raw array contents feed the vectorized data
-    path.  Only behavioural memory faults read through the scheme,
-    memoised per distinct address with the serial loop's early exit.
+    No read goes through the behavioural model.  ``stored`` is
+    the (words, word_width) uint8 image of the array contents, static
+    for the whole campaign (reads are pure and the fill runs once), so
+    the data path is a pure function of the selected lines and this
+    table.  Structural axis faults: each cap-wide block of the trace
+    packs both decoders' golden passes once (each axis's golden doubles
+    as the other axis's fault-free reference) and the image feeds the
+    vectorized data path.  Behavioural memory faults patch a copy of
+    the image (:meth:`~repro.memory.faults.MemoryFault.apply_read_image`)
+    and are judged at every address at once.
     """
 
     def __init__(
@@ -392,6 +437,7 @@ class _VectorSchemeState:
         memory: SelfCheckingMemory,
         addresses: Sequence[int],
         chunk: Optional[int],
+        stored,
     ):
         self.memory = memory
         self.addresses = list(addresses)
@@ -406,31 +452,11 @@ class _VectorSchemeState:
             "row": VectorCircuit(memory.row.circuit),
             "column": VectorCircuit(memory.column.circuit),
         }
-        self._stored = None
-        self._stored_zero = None
+        self.stored = stored
+        #: zero-cell table of ``stored``
+        self.stored_zero = stored == 0
         self._axis_rejects = None
         self._joined: Dict[str, "np.ndarray"] = {}
-
-    def stored(self):
-        """(words, word_width) uint8 snapshot of the raw array contents.
-
-        Contents are static for the whole campaign (reads are pure and
-        the writer fills once), so the data path is a pure function of
-        the selected lines and this table.
-        """
-        if self._stored is None:
-            ram = self.memory.ram
-            self._stored = np.array(
-                [ram.raw_word(a) for a in range(self.org.words)],
-                dtype=np.uint8,
-            )
-        return self._stored
-
-    def stored_zero(self):
-        """Boolean zero-cell table: ``stored() == 0``, cached."""
-        if self._stored_zero is None:
-            self._stored_zero = self.stored() == 0
-        return self._stored_zero
 
     # -- behavioural memory faults ------------------------------------------
 
@@ -474,12 +500,13 @@ class _VectorSchemeState:
         Selection is fault-free and contents static, so a read of
         address ``a`` resolves to the faulted raw word at ``a`` behind
         golden decoders: the verdict is ``golden axis reject | parity
-        reject of that word``, a pure function of the address.  Raw
-        words are read once per distinct streamed address (in stream
-        order, memoised per address), every fault's
-        word table is judged as one address-indexed lane batch, and the
-        verdict tables are gathered over the cycle stream in a single
-        lookup each.
+        reject of that word``, a pure function of the address.  Each
+        fault patches its read effect into a copy of the stored image
+        (:meth:`~repro.memory.faults.MemoryFault.apply_read_image`;
+        the RAM holds the same contents, which coupling models read),
+        every fault's image is judged as one address-indexed lane
+        batch, and the verdict tables are gathered over the cycle
+        stream in a single lookup each.
         """
         faults = list(faults)
         if not faults:
@@ -489,13 +516,11 @@ class _VectorSchemeState:
         ram = memory.ram
         width = ram.word_width
         row_rej, col_rej = self._golden_axis_rejects()
-        distinct = list(dict.fromkeys(self.addresses))
-        data = np.zeros((len(faults), org.words, width), dtype=bool)
+        data = np.empty((len(faults), org.words, width), dtype=bool)
         for idx, fault in enumerate(faults):
-            memory.clear_faults()
-            memory.inject_memory_fault(fault)
-            data[idx, distinct] = [ram.read(a) for a in distinct]
-        memory.clear_faults()
+            image = self.stored.copy()
+            fault.apply_read_image(image, ram)
+            data[idx] = image
 
         mask = lane_mask(org.words)
         columns = [pack_bool(data[:, :, b]) for b in range(width)]
@@ -629,7 +654,7 @@ class _VectorSchemeState:
             else:
                 joined = (others[None, :] << org.s) | lines[:, None]
             self._joined[axis] = joined
-        zero = self.stored_zero()[joined]  # (J, O, width)
+        zero = self.stored_zero[joined]  # (J, O, width)
         other_arr = np.stack(other_lines)  # (O, W)
         width = memory.ram.word_width
         words = mask.shape[0]
@@ -697,11 +722,11 @@ def _vector_scheme_worker(payload):
     """Detection outcomes for one chunk of (axis, fault) jobs.
 
     Jobs of the same axis are batched into one fault-parallel
-    evaluation; behavioural memory faults use the memoised pure-read
-    path.  Output order matches the job order (the
-    :func:`_map_jobs` contract)."""
-    (memory, addresses, chunk), jobs = payload
-    state = _VectorSchemeState(memory, addresses, chunk)
+    evaluation; behavioural memory faults patch the stored image.
+    Output order matches the job order (the :func:`_map_jobs`
+    contract)."""
+    (memory, addresses, chunk, stored), jobs = payload
+    state = _VectorSchemeState(memory, addresses, chunk, stored)
     out: List[Optional[int]] = [None] * len(jobs)
     row_idx = [i for i, (a, _) in enumerate(jobs) if a == "row"]
     col_idx = [i for i, (a, _) in enumerate(jobs) if a == "column"]
@@ -742,6 +767,13 @@ def scheme_campaign_vector(
     fault list, with the parity data path resolved as array ops over
     the static array contents instead of per-fault behavioural reads.
     Bit-identical to the serial oracle.
+
+    With no ``writer`` and no behavioural fault registered on the RAM,
+    the contents are built as one array (:func:`default_scheme_image`)
+    and bulk-loaded into the RAM, which then holds what
+    :func:`~repro.faultsim.campaign.default_scheme_writer` would have
+    left.  A custom writer, or registered faults whose ``apply_write``
+    must see the fill, keep the behavioural fill and a snapshot of it.
     """
     from repro.faultsim.campaign import (
         _driver_result,
@@ -752,8 +784,18 @@ def scheme_campaign_vector(
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be >= 1 lanes, got {chunk}")
 
-    fill = writer or default_scheme_writer
-    fill(memory)
+    ram = memory.ram
+    stored = None
+    if writer is None and not ram.faults:
+        stored = default_scheme_image(ram)
+    if stored is None:
+        (writer or default_scheme_writer)(memory)
+        stored = np.array(
+            [ram.raw_word(a) for a in range(ram.organization.words)],
+            dtype=np.uint8,
+        )
+    else:
+        ram.load(stored)
 
     row_faults = list(row_faults)
     column_faults = list(column_faults)
@@ -773,7 +815,7 @@ def scheme_campaign_vector(
     memory.clear_faults()
     outcomes = _map_jobs(
         _vector_scheme_worker,
-        (memory, list(addresses), chunk),
+        (memory, list(addresses), chunk, stored),
         jobs,
         workers,
     )

@@ -9,6 +9,12 @@ freely during a campaign.  The one exception is the *write-triggered*
 coupling model (:class:`CouplingFault` with ``write_triggered=True``),
 whose whole point is that an aggressor write corrupts the victim's
 stored state — campaigns re-initialise contents per fault anyway.
+
+Each fault also applies its read effect to a whole stored image at once
+(:meth:`MemoryFault.apply_read_image`), which is how the vector scheme
+campaign judges a memory fault at every address without a behavioural
+read.  The image is an array with NumPy-style 2-D indexing; this module
+imports no NumPy itself, because the CLI parser loads it.
 """
 
 from __future__ import annotations
@@ -36,6 +42,22 @@ class MemoryFault(abc.ABC):
     def apply_write(self, address: int, word: list, memory) -> None:
         """Hook for faults that corrupt writes; default: no effect."""
 
+    def apply_read_image(self, image, memory) -> None:
+        """Apply the read effect to every word of ``image`` in place.
+
+        ``image`` is a (words, word_width) array of the stored contents
+        of ``memory``, which must hold those same contents (coupling
+        models read the aggressor through ``memory.raw_word``).  Row
+        ``a`` then equals what a read of address ``a`` returns with
+        this fault alone injected.  The default runs :meth:`apply_read`
+        over every word, so a fault that defines only that stays exact;
+        the built-in faults override it with slice assignments.
+        """
+        for address in range(len(image)):
+            word = image[address].tolist()
+            self.apply_read(address, word, memory)
+            image[address] = word
+
 
 class CellStuckAt(MemoryFault):
     """One cell of the array stuck at a value — flips at most one output
@@ -52,6 +74,10 @@ class CellStuckAt(MemoryFault):
         if address == self.address:
             word[self.bit] = self.value
 
+    def apply_read_image(self, image, memory) -> None:
+        if 0 <= self.address < len(image):
+            image[self.address, self.bit] = self.value
+
     def __repr__(self) -> str:
         return f"CellStuckAt(addr={self.address}, bit={self.bit}, sa{self.value})"
 
@@ -67,6 +93,9 @@ class DataLineStuckAt(MemoryFault):
 
     def apply_read(self, address: int, word: list, memory) -> None:
         word[self.bit] = self.value
+
+    def apply_read_image(self, image, memory) -> None:
+        image[:, self.bit] = self.value
 
     def __repr__(self) -> str:
         return f"DataLineStuckAt(bit={self.bit}, sa{self.value})"
@@ -89,6 +118,13 @@ class MuxLineStuckAt(MemoryFault):
     def apply_read(self, address: int, word: list, memory) -> None:
         if memory.organization.split_address(address)[1] == self.column:
             word[self.bit] = self.value
+
+    def apply_read_image(self, image, memory) -> None:
+        # the low address bits select the mux way
+        # (MemoryOrganization.split_address)
+        mux = memory.organization.column_mux
+        if 0 <= self.column < mux:
+            image[self.column :: mux, self.bit] = self.value
 
     def __repr__(self) -> str:
         return (
@@ -146,6 +182,14 @@ class CouplingFault(MemoryFault):
         if aggressor[self.aggressor_bit] == self.trigger:
             word[self.victim_bit] = self.forced
 
+    def apply_read_image(self, image, memory) -> None:
+        victim = self.victim_address
+        if self.write_triggered or not 0 <= victim < len(image):
+            return
+        aggressor = memory.raw_word(self.aggressor_address)
+        if aggressor[self.aggressor_bit] == self.trigger:
+            image[victim, self.victim_bit] = self.forced
+
     def apply_write(self, address: int, word: list, memory) -> None:
         """Write-triggered model: an aggressor-bit transition into
         ``trigger`` corrupts the victim's stored bit (called before the
@@ -180,6 +224,10 @@ class CompositeFault(MemoryFault):
     def apply_read(self, address: int, word: list, memory) -> None:
         for fault in self.faults:
             fault.apply_read(address, word, memory)
+
+    def apply_read_image(self, image, memory) -> None:
+        for fault in self.faults:
+            fault.apply_read_image(image, memory)
 
     def apply_write(self, address: int, word: list, memory) -> None:
         for fault in self.faults:

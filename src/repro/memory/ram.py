@@ -110,6 +110,22 @@ class BehavioralRAM:
         word = self.read(address)
         return word[: self.organization.bits]
 
+    def load(self, image) -> None:
+        """Replace the whole stored contents, parity bits included.
+
+        ``image`` is a (words, word_width) NumPy array: one stored
+        word per address, data bits then the parity bit when enabled.
+        It is stored as given: no parity bit is recomputed and no
+        registered fault's ``apply_write`` sees it, so it matches a
+        :meth:`write` per address only on a RAM with no faults.
+        """
+        if image.shape != (self.organization.words, self._stored_bits):
+            raise ValueError(
+                f"expected {self.organization.words} words of "
+                f"{self._stored_bits} stored bits, got shape {image.shape}"
+            )
+        self._array = image.tolist()
+
     def raw_word(self, address: int) -> Tuple[int, ...]:
         """Fault-free stored contents (used by coupling-fault models)."""
         self._check_address(address)

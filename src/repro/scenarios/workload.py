@@ -10,9 +10,11 @@ Random, sequential, bursty, scrubbed and march traffic are all
 * **composable** — workloads concatenate (``a + b``) and interleave
   (:meth:`Workload.interleave`), so "march sweep then uniform traffic"
   or "scrub every 4th cycle" are first-class values;
-* **chunk-iterable** — :meth:`chunks` / :meth:`address_chunks` stream a
-  million-cycle trace in bounded memory; the vector campaign engine
-  accepts a ``chunk=W`` lane width and are proven invariant under it;
+* **lazy** — :meth:`accesses` and :meth:`addresses` are iterators, so
+  ``itertools.islice`` takes any prefix of a million-cycle trace
+  without building it; campaigns materialise the trace once
+  (:meth:`address_list`), and the vector campaign engine's ``chunk=W``
+  lane width bounds its memory, with results proven invariant in W;
 * **read/write aware** — accesses carry an operation and a background
   bit, so RAM-level campaigns (march, transient) and decoder-level
   campaigns (address-only) draw from the same object.
@@ -21,6 +23,7 @@ Random, sequential, bursty, scrubbed and march traffic are all
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import (
@@ -115,18 +118,6 @@ class Workload:
 
     def address_list(self) -> List[int]:
         return list(self.addresses())
-
-    def chunks(self, size: int) -> Iterator[List[Access]]:
-        """Stream the trace in lists of at most ``size`` accesses.
-
-        The bounded-memory path: a million-cycle workload never has to
-        materialise as one list.
-        """
-        return _batched(self.accesses(), size)
-
-    def address_chunks(self, size: int) -> Iterator[List[int]]:
-        """:meth:`chunks` over the address view (:meth:`addresses`)."""
-        return _batched(self.addresses(), size)
 
     @property
     def has_writes(self) -> bool:
@@ -235,13 +226,6 @@ class Workload:
         return ExplicitWorkload(addresses_=tuple(addresses))
 
 
-def _batched(items: Iterator, size: int) -> Iterator[List]:
-    """Lists of at most ``size`` consecutive ``items``."""
-    if size < 1:
-        raise ValueError(f"chunk size must be >= 1, got {size}")
-    return iter(lambda: list(itertools.islice(items, size)), [])
-
-
 def _check_space(space: int) -> None:
     if space < 1:
         raise ValueError(f"address space must be >= 1, got {space}")
@@ -268,9 +252,17 @@ class UniformWorkload(Workload):
 
     def addresses(self) -> Iterator[int]:
         """Columnar: the seeded draws themselves, no per-cycle
-        :class:`Access` (what :meth:`address_list` builds on)."""
+        :class:`Access` (what :meth:`address_list` builds on).
+
+        ``random.Random.randrange(n)`` draws ``getrandbits(k)``, with
+        ``k = n.bit_length()``, until a draw is below ``n``.  The same
+        rejection runs here in C iterators, without a Python frame per
+        draw, so the trace is the ``randrange`` sequence itself.
+        """
+        space = operator.index(self.space)
         rng = random.Random(self.seed)
-        return map(rng.randrange, itertools.repeat(self.space, self.cycles))
+        draws = map(rng.getrandbits, itertools.repeat(space.bit_length()))
+        return itertools.islice(filter(space.__gt__, draws), self.cycles)
 
     def accesses(self) -> Iterator[Access]:
         return (Access("r", address) for address in self.addresses())

@@ -88,23 +88,48 @@ def _write_coupling(cells, bits, trigger, forced):
     )
 
 
-memory_faults = st.one_of(
-    st.builds(CellStuckAt, addresses, stored_bits, values),
-    st.builds(DataLineStuckAt, stored_bits, values),
-    st.builds(MuxLineStuckAt, st.integers(0, MUX - 1), stored_bits, values),
-    st.builds(
-        CouplingFault,
-        addresses, stored_bits, addresses, stored_bits,
-        trigger=values, forced=values,
-    ),
-    st.builds(
-        _write_coupling,
-        st.lists(addresses, min_size=2, max_size=2, unique=True),
-        st.tuples(stored_bits, stored_bits),
-        values,
-        values,
-    ),
-)
+def _sites(count, spill):
+    inside = st.integers(0, count - 1)
+    if not spill:
+        return inside
+    return st.one_of(
+        inside,
+        st.integers(-spill, -1),
+        st.integers(count, count - 1 + spill),
+    )
+
+
+def memory_fault_strategy(words, stored, mux, spill=0):
+    """Cell, data-line, mux-line and read/write coupling faults of a
+    ``words`` x ``stored``-bit RAM with ``mux`` columns.
+
+    ``spill`` > 0 also draws cell addresses (stuck-at cells,
+    read-coupling victims) and mux columns up to that far past either
+    end of their range, each end as often as the range itself.
+    """
+    addresses = st.integers(0, words - 1)
+    cells = _sites(words, spill)
+    bits = st.integers(0, stored - 1)
+    return st.one_of(
+        st.builds(CellStuckAt, cells, bits, values),
+        st.builds(DataLineStuckAt, bits, values),
+        st.builds(MuxLineStuckAt, _sites(mux, spill), bits, values),
+        st.builds(
+            CouplingFault,
+            addresses, bits, cells, bits,
+            trigger=values, forced=values,
+        ),
+        st.builds(
+            _write_coupling,
+            st.lists(addresses, min_size=2, max_size=2, unique=True),
+            st.tuples(bits, bits),
+            values,
+            values,
+        ),
+    )
+
+
+memory_faults = memory_fault_strategy(WORDS, STORED, MUX)
 
 
 @GENERATED

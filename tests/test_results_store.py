@@ -702,6 +702,37 @@ class TestResultsCli:
         )
         assert "no result store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["payload_removed", "meta_torn"])
+    @pytest.mark.parametrize("command", ["show", "diff", "export"])
+    def test_incomplete_entry_is_a_one_line_error(
+        self, tmp_path, capsys, command, damage
+    ):
+        """``resolve`` lists a key by its meta file; an entry whose
+        payload is gone or whose meta does not parse must fail with one
+        line naming the key, not crash on the missed read."""
+        store_root, detected_key, silent_key = self.populate(tmp_path)
+        if damage == "payload_removed":
+            os.remove(os.path.join(store_root, f"{detected_key}.jsonl"))
+        else:
+            meta = os.path.join(store_root, f"{detected_key}.meta.json")
+            with open(meta, "w") as handle:
+                handle.write("{")
+        out_path = tmp_path / "export.jsonl"
+        argv = {
+            "show": ["results", "show", detected_key[:10]],
+            "diff": ["results", "diff", detected_key, silent_key],
+            "export": ["results", "export", detected_key,
+                       "--out", str(out_path)],
+        }[command]
+        assert self.run_cli(argv + ["--store", store_root]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.rstrip("\n")
+        assert "\n" not in err
+        assert err.startswith(f"error: store entry {detected_key} ")
+        assert "incomplete" in err and "repro store verify" in err
+        assert not out_path.exists()
+
     def test_campaign_command_store_round_trip(self, tmp_path, capsys):
         store_root = str(tmp_path / "cli-store")
         assert (

@@ -157,22 +157,6 @@ class TestWorkloadSemantics:
         ]
         assert [access.address for access in workload.accesses()] == trace
         assert {(a.op, a.bit) for a in workload.accesses()} == {("r", None)}
-        assert [
-            address
-            for batch in workload.address_chunks(5)
-            for address in batch
-        ] == trace
-
-    def test_chunks_bound_batches(self):
-        workload = Workload.sequential(16, 50)
-        batches = list(workload.chunks(7))
-        assert [len(batch) for batch in batches] == [7] * 7 + [1]
-        flat = [a.address for batch in batches for a in batch]
-        assert flat == workload.address_list()
-
-    def test_chunk_size_validated(self):
-        with pytest.raises(ValueError):
-            list(Workload.sequential(8, 8).chunks(0))
 
     def test_march_workload_carries_ops_and_backgrounds(self):
         accesses = list(Workload.march(MATS_PLUS, 2))
