@@ -141,7 +141,7 @@ from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
 
-__version__ = "2.5.0"
+__version__ = "2.6.0"
 
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,

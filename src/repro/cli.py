@@ -590,7 +590,7 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
         _emit(args, json.dumps(usage, indent=2))
         return 0
     lines = [f"result store {usage['root']}"]
-    for name in ("campaigns", "shards", "reports"):
+    for name in ("campaigns", "shards", "reports", "cells"):
         lines.append(f"    {name:<14}: {usage[name]}")
     for name in ("payload_bytes", "report_bytes", "total_bytes"):
         lines.append(
@@ -666,6 +666,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"recovered {len(service.recovered)} interrupted job(s): "
             f"{', '.join(service.recovered)}",
+            file=sys.stderr,
+            flush=True,
+        )
+    if service.cancelled_on_recovery:
+        print(
+            f"cancelled {len(service.cancelled_on_recovery)} interrupted "
+            f"job(s) with a pending cancel request: "
+            f"{', '.join(service.cancelled_on_recovery)}",
             file=sys.stderr,
             flush=True,
         )

@@ -150,6 +150,16 @@ class ModAMapping(AddressMapping):
     def codeword(self, address: int) -> BitVector:
         return self.code.word_at(self.index(address))
 
+    def table(self) -> List[BitVector]:
+        """Full ROM programming, each distinct code word unranked once
+        (the base class unranks one per address)."""
+        size = 1 << self.n_bits
+        words = [self.code.word_at(i) for i in range(min(self.a, size))]
+        table = [words[address % self.a] for address in range(size)]
+        for address, index in self._remap.items():
+            table[address] = self.code.word_at(index)
+        return table
+
     def words_emitted(self) -> List[BitVector]:
         """Distinct code words reaching the checker (for self-testing checks)."""
         seen = sorted({self.index(addr) for addr in range(1 << self.n_bits)})

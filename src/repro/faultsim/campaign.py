@@ -225,6 +225,10 @@ def scheme_campaign(
     ``engine="serial"`` is the per-cycle reference oracle.
     ``addresses`` accepts a bare sequence or a
     :class:`repro.scenarios.Workload`.
+
+    Both engines end the campaign with no fault injected on ``memory``,
+    whether or not the fault lists are empty: a fault injected
+    beforehand is cleared too.
     """
     engine = check_engine(engine)
     addresses = _address_stream(addresses)
@@ -265,4 +269,7 @@ def scheme_campaign(
         run_one(fault, kind, lambda f=fault: memory.inject_column_fault(f))
     for fault in memory_faults:
         run_one(fault, "memory", lambda f=fault: memory.inject_memory_fault(f))
+    # run_one clears after each fault; this clears a pre-injected fault
+    # when the lists are empty, as the vector engine does
+    memory.clear_faults()
     return _driver_result("scheme", "serial", records, len(addresses))

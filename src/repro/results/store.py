@@ -12,12 +12,20 @@ Layout (one directory, no database)::
 
     <root>/<key>.jsonl        the ResultSet, canonical JSONL
     <root>/<key>.meta.json    key material, summary, sha256, created_at
+                              (one compact JSON line)
     <root>/reports/<key>.json cached DesignReport JSON (design flow)
+    <root>/cells/<digest>     suite cell index: {"key", "source"}
 
 A payload without its meta file is treated as absent (interrupted
 writes never poison the cache); a payload whose bytes no longer hash to
 the recorded sha256 raises :class:`ResultStoreError` — a hit is always
 a *verified* hit.
+
+The cell index maps the digest of a suite cell to the key its campaign
+was stored under, stamped with the source fingerprint of the code that
+computed the key (:mod:`repro.suite.runner` decides when to read and
+write it).  An entry is a pointer, not an artifact: a torn or dangling
+one reads as absent, and :meth:`ResultStore.verify_all` ignores it.
 
 Execution details that are proven result-invariant — ``engine``
 (vector fast path or serial oracle), ``workers`` (pool sharding) and
@@ -32,6 +40,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -54,6 +64,18 @@ __all__ = [
 
 class ResultStoreError(RuntimeError):
     """A store artifact is corrupt or inconsistent with its metadata."""
+
+
+#: what every store key is: a sha256 hex digest
+_KEY_RE = re.compile(r"[0-9a-f]{64}")
+
+
+def _tmp_path(path: str) -> str:
+    """A temp name no other writer shares: concurrent writers of one
+    path — sweep workers, parallel CI shards, the job threads of one
+    ``repro serve`` process — each promote a complete file instead of
+    one moving the other's half-written ``.tmp`` away."""
+    return f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
 
 
 # -- canonical hashing --------------------------------------------------------
@@ -103,15 +125,18 @@ def describe_target(target: object) -> dict:
     if callable(custom):
         return {"type": type(target).__name__, "material": custom()}
     name = type(target).__name__
-    # CheckedDecoder: gate network + ROM programming
+    # CheckedDecoder: gate network + ROM programming, one row per
+    # address — the rows its NOR matrix was programmed with, else the
+    # mapping's table (both are mapping.codeword of every address)
     tree = getattr(target, "tree", None)
     mapping = getattr(target, "mapping", None)
     if tree is not None and mapping is not None:
-        n_bits = mapping.n_bits
+        matrix = getattr(target, "matrix", None)
+        rows = matrix.rows if matrix is not None else mapping.table()
         return {
             "type": name,
-            "n_bits": n_bits,
-            "rom": [list(mapping.codeword(a)) for a in range(1 << n_bits)],
+            "n_bits": mapping.n_bits,
+            "rom": [list(row) for row in rows],
             "circuit": content_digest(
                 canonical_json(_circuit_material(tree.circuit))
             ),
@@ -255,6 +280,9 @@ class ResultStore:
     def _report_path(self, key: str) -> str:
         return os.path.join(self.root, "reports", f"{key}.json")
 
+    def _cell_path(self, digest: str) -> str:
+        return os.path.join(self.root, "cells", digest)
+
     # -- core operations -----------------------------------------------------
 
     def contains(self, key: str) -> bool:
@@ -283,10 +311,7 @@ class ResultStore:
         # old meta and only one remove can win
         with contextlib.suppress(FileNotFoundError):
             os.remove(meta_path)
-        # pid-unique temp names: concurrent writers of the same key
-        # (sweep workers, parallel CI shards) each promote a complete
-        # file instead of interleaving writes into a shared .tmp
-        tmp_path = f"{payload_path}.{os.getpid()}.tmp"
+        tmp_path = _tmp_path(payload_path)
         with open(tmp_path, "w") as handle:
             handle.write(payload)
         os.replace(tmp_path, payload_path)
@@ -308,10 +333,14 @@ class ResultStore:
             ),
             "created_at": time.time(),
         }
-        tmp_meta = f"{meta_path}.{os.getpid()}.tmp"
+        tmp_meta = _tmp_path(meta_path)
         with open(tmp_meta, "w") as handle:
-            json.dump(meta, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            # one compact line: json's C encoder (indent=2 would run its
+            # pure-Python one over the full ROM tables in the material)
+            handle.write(
+                json.dumps(meta, sort_keys=True, separators=(",", ":"))
+                + "\n"
+            )
         os.replace(tmp_meta, meta_path)
         self.stats.puts += 1
         return key
@@ -375,6 +404,36 @@ class ResultStore:
                 removed = True
         return removed
 
+    # -- suite cell index ----------------------------------------------------
+
+    def cell_entry(self, digest: str) -> Optional[dict]:
+        """The index entry ``{"key", "source"}`` stored under a cell
+        digest; ``None`` when there is none or it is torn (not counted
+        in :attr:`stats`: the entry is a pointer, the read of what it
+        points at is the counted one)."""
+        try:
+            with open(self._cell_path(digest)) as handle:
+                entry = json.load(handle)
+        except (OSError, ValueError):
+            return None
+        if (
+            not isinstance(entry, dict)
+            or not isinstance(entry.get("key"), str)
+            or not _KEY_RE.fullmatch(entry["key"])
+            or not isinstance(entry.get("source"), str)
+        ):
+            return None
+        return entry
+
+    def put_cell_entry(self, digest: str, key: str, source: str) -> None:
+        """Point a cell digest at a store key (atomic replace)."""
+        path = self._cell_path(digest)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        tmp_path = _tmp_path(path)
+        with open(tmp_path, "w") as handle:
+            handle.write(canonical_json({"key": key, "source": source}))
+        os.replace(tmp_path, path)
+
     # -- listing / resolution ------------------------------------------------
 
     def keys(self, include_shards: bool = False) -> List[str]:
@@ -433,8 +492,9 @@ class ResultStore:
 
     def usage(self) -> dict:
         """Size/occupancy counters for ``repro store stats``: campaign
-        and shard entries, report side-table entries, payload bytes and
-        the total on-disk footprint of the store directory."""
+        and shard entries, report side-table entries, suite cell index
+        entries, payload bytes and the total on-disk footprint of the
+        store directory."""
         campaigns = self.keys()
         all_keys = self.keys(include_shards=True)
         payload_bytes = 0
@@ -446,6 +506,12 @@ class ResultStore:
         for key in reports:
             with contextlib.suppress(OSError):
                 report_bytes += os.path.getsize(self._report_path(key))
+        cells_dir = os.path.join(self.root, "cells")
+        cells = 0
+        if os.path.isdir(cells_dir):
+            cells = sum(
+                not name.endswith(".tmp") for name in os.listdir(cells_dir)
+            )
         total_bytes = 0
         for base, _dirs, names in os.walk(self.root):
             for name in names:
@@ -458,6 +524,7 @@ class ResultStore:
             "campaigns": len(campaigns),
             "shards": len(all_keys) - len(campaigns),
             "reports": len(reports),
+            "cells": cells,
             "payload_bytes": payload_bytes,
             "report_bytes": report_bytes,
             "total_bytes": total_bytes,
@@ -542,7 +609,7 @@ class ResultStore:
             "sha256": content_digest(canonical_json(report_dict)),
             "report": report_dict,
         }
-        tmp_path = f"{path}.{os.getpid()}.tmp"
+        tmp_path = _tmp_path(path)
         with open(tmp_path, "w") as handle:
             json.dump(envelope, handle, sort_keys=True)
             handle.write("\n")

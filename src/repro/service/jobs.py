@@ -38,7 +38,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "JOB_STATES",
@@ -48,6 +48,7 @@ __all__ = [
     "QueueClosedError",
     "JobRecord",
     "JobQueue",
+    "Recovery",
 ]
 
 #: every state a job can be in, in lifecycle order
@@ -159,6 +160,16 @@ class JobRecord:
             error=data.get("error"),
             recovered=bool(data.get("recovered", False)),
         )
+
+
+class Recovery(NamedTuple):
+    """What :meth:`JobQueue.recover` did to the jobs it found
+    ``running``."""
+
+    #: ids put back to ``queued``
+    requeued: List[str]
+    #: ids ended ``cancelled``: their cancel request had been persisted
+    cancelled: List[str]
 
 
 class JobQueue:
@@ -354,17 +365,18 @@ class JobQueue:
             self._changed_locked(job_id)
             return JobRecord.from_dict(record.to_dict())
 
-    def recover(self) -> List[str]:
+    def recover(self) -> Recovery:
         """Re-queue jobs interrupted mid-run by a server death.
 
         ``running`` records on disk mean the previous process died with
         the job in flight; the store makes re-execution idempotent, so
         they go back to ``queued`` (flagged ``recovered``).  One whose
         cancel request was persisted is ``cancelled`` instead — the
-        request must not be lost to the restart.  Returns the re-queued
-        ids.
+        request must not be lost to the restart.  Returns both id
+        lists, sorted.
         """
         requeued = []
+        cancelled = []
         with self._lock:
             for record in self._jobs.values():
                 if record.state != "running":
@@ -376,6 +388,7 @@ class JobQueue:
                         error="cancelled: the server restarted before "
                         "the job reached a cell boundary",
                     )
+                    cancelled.append(record.job_id)
                     continue
                 record.state = "queued"
                 record.started_at = None
@@ -383,7 +396,7 @@ class JobQueue:
                 self._persist(record)
                 self._changed_locked(record.job_id)
                 requeued.append(record.job_id)
-        return sorted(requeued)
+        return Recovery(sorted(requeued), sorted(cancelled))
 
     def close(self) -> None:
         """Refuse long-polls from now on and wake the parked ones

@@ -99,7 +99,9 @@ class CampaignService:
         self.cache = cache
         self.workers = workers
         self.jobs = JobQueue(self.store_root)
-        self.recovered = self.jobs.recover()
+        #: ids of the interrupted jobs recovery re-queued, and of those
+        #: it ended ``cancelled`` (see :meth:`JobQueue.recover`)
+        self.recovered, self.cancelled_on_recovery = self.jobs.recover()
         self._flags: Dict[str, threading.Event] = {}
         self._lock = threading.Lock()
         self._pool = futures.ThreadPoolExecutor(

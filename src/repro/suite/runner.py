@@ -5,6 +5,10 @@ Execution contract per cell:
 * the cell's store key is looked up first — a hit is served from disk,
   hash-verified, and the simulator is never invoked (this is what makes
   a re-run of a suite against the same store a *resume*);
+* a campaign cell with a current entry in the store's cell index
+  (``<store>/cells/``) builds nothing: the entry names the cell's store
+  key, so the hit costs the verified read alone — no target, fault list
+  or key material is built;
 * a miss runs the campaign through the matching
   :class:`~repro.scenarios.CampaignEngine` /
   :class:`~repro.design.engine.DesignEngine` path and stores the
@@ -12,6 +16,19 @@ Execution contract per cell:
 * failures are captured **fail-soft**: one bad cell becomes an
   ``error`` outcome with a one-line diagnostic, and the rest of the
   suite still runs.
+
+The cell index.  After a campaign cell (``decoder``, ``scheme``,
+``transient`` or ``march``) yields a store key, hit or run, the runner
+points the digest of the cell (its dict without the id) at that key,
+stamped with :func:`source_fingerprint`.  A later run of the cell whose
+policy reads the store (``cache`` on, engine not ``serial``) and finds
+an entry with the current fingerprint serves ``store.get(key)``; every
+other case — no entry, a torn one, another fingerprint, a key that is
+gone — takes the path above and rewrites the entry.  A source edit
+therefore invalidates every entry, and the index is neither read nor
+written while a registry holds an entry defined outside ``repro`` (a
+plugin can change what a cell builds without any source edit).  Design
+cells keep their path: their report key comes from the spec alone.
 
 ``workers=N`` schedules cells over a bounded
 :class:`concurrent.futures.ProcessPoolExecutor` (each worker opens the
@@ -22,15 +39,17 @@ suite advances.
 
 from __future__ import annotations
 
+import hashlib
+import os
 import time
 from concurrent import futures
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.results import ResultStore
+from repro.results import ResultStore, canonical_json, content_digest
 from repro.suite.report import CellOutcome, SuiteReport
 from repro.suite.spec import CampaignCell, SuiteSpec
 
-__all__ = ["SuiteRunner", "execute_cell"]
+__all__ = ["SuiteRunner", "execute_cell", "source_fingerprint"]
 
 #: progress callback signature: receives dicts like
 #: ``{"event": "done", "cell": id, "index": 3, "total": 46,
@@ -161,7 +180,7 @@ def _run_design(cell: CampaignCell, store, cache: bool):
     return summary, provenance, key, hit
 
 
-def _run_decoder(cell: CampaignCell, store, cache: bool):
+def _run_decoder(cell: CampaignCell, engine):
     from repro.design.engine import DesignEngine
     from repro.design.registry import checker_for
     from repro.design.spec import DesignSpec
@@ -174,7 +193,7 @@ def _run_decoder(cell: CampaignCell, store, cache: bool):
     checker = checker_for(mapping, structural=spec.structural_checkers)
     workload = _resolve_workload(cell.workload, 1 << spec.organization.p)
     faults = _population(cell, checked)
-    result = _campaign_engine(cell, store, cache).decoder(
+    result = engine.decoder(
         checked,
         checker,
         faults,
@@ -185,7 +204,7 @@ def _run_decoder(cell: CampaignCell, store, cache: bool):
     return result
 
 
-def _run_scheme(cell: CampaignCell, store, cache: bool):
+def _run_scheme(cell: CampaignCell, engine):
     from repro.design.engine import DesignEngine
     from repro.design.spec import DesignSpec
 
@@ -193,21 +212,17 @@ def _run_scheme(cell: CampaignCell, store, cache: bool):
     memory = DesignEngine().build(spec)
     workload = _resolve_workload(cell.workload, 1 << spec.organization.n)
     scenarios = _population(cell, memory)
-    return _campaign_engine(cell, store, cache).scheme(
-        memory, workload, scenarios
-    )
+    return engine.scheme(memory, workload, scenarios)
 
 
-def _run_transient(cell: CampaignCell, store, cache: bool):
+def _run_transient(cell: CampaignCell, engine):
     ram = _ram_target(cell.target)
     workload = _resolve_workload(cell.workload, ram.organization.words)
     scenarios = _population(cell, ram)
-    return _campaign_engine(cell, store, cache).transient(
-        ram, scenarios, workload
-    )
+    return engine.transient(ram, scenarios, workload)
 
 
-def _run_march(cell: CampaignCell, store, cache: bool):
+def _run_march(cell: CampaignCell, engine):
     from repro.memory.march import MARCH_TESTS
 
     ram = _ram_target(cell.target)
@@ -217,9 +232,7 @@ def _run_march(cell: CampaignCell, store, cache: bool):
             f"unknown march test {name!r}; known: {sorted(MARCH_TESTS)}"
         )
     scenarios = _population(cell, ram)
-    return _campaign_engine(cell, store, cache).march(
-        ram, scenarios, MARCH_TESTS[name]
-    )
+    return engine.march(ram, scenarios, MARCH_TESTS[name])
 
 
 _CAMPAIGN_RUNNERS = {
@@ -228,6 +241,131 @@ _CAMPAIGN_RUNNERS = {
     "transient": _run_transient,
     "march": _run_march,
 }
+
+
+# -- the cell index -----------------------------------------------------------
+
+#: package root -> sha256 over its *.py files ("" when it has none),
+#: hashed once per process.  No lock: threads racing on the first call
+#: may each hash, and ``setdefault`` keeps one value; a lock held while
+#: hashing could be inherited held by a pool worker forked meanwhile.
+_SOURCE_DIGESTS: Dict[str, str] = {}
+
+
+def _hash_sources(root: str) -> str:
+    """sha256 over the relative path and bytes of every ``*.py`` file
+    under ``root``, in path order; ``""`` when there is none."""
+    digest = hashlib.sha256()
+    found = False
+    for base, dirs, names in os.walk(root):
+        dirs.sort()
+        for name in sorted(names):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(base, name)
+            relative = os.path.relpath(path, root).replace(os.sep, "/")
+            with open(path, "rb") as handle:
+                data = handle.read()
+            digest.update(f"{relative}\0{len(data)}\0".encode())
+            digest.update(data)
+            found = True
+    return digest.hexdigest() if found else ""
+
+
+def _package_root() -> str:
+    import repro
+
+    return os.path.dirname(os.path.abspath(repro.__file__))
+
+
+def source_fingerprint() -> Optional[str]:
+    """The fingerprint cell index entries are stamped with: a sha256
+    over the source of the imported ``repro`` package and the march
+    algorithms :data:`~repro.memory.march.MARCH_TESTS` defines (a
+    public table that cells name).  ``None`` turns the index off: no
+    ``.py`` file was found.
+
+    The file hash is computed once per process; the march table, a
+    mutable dict, is hashed on every call.  No version string or mtime
+    enters it."""
+    root = _package_root()
+    sources = _SOURCE_DIGESTS.get(root)
+    if sources is None:
+        sources = _SOURCE_DIGESTS.setdefault(root, _hash_sources(root))
+    if not sources:
+        return None
+    from repro.memory.march import MARCH_TESTS
+
+    march = {
+        name: [
+            test.name,
+            [[element.order, list(element.operations)]
+             for element in test.elements],
+        ]
+        for name, test in MARCH_TESTS.items()
+    }
+    return content_digest(
+        canonical_json({"sources": sources, "march": march})
+    )
+
+
+def _from_repro(obj: object) -> bool:
+    module = getattr(obj, "__module__", None)
+    return isinstance(module, str) and (
+        module == "repro" or module.startswith("repro.")
+    )
+
+
+def _plugins_registered() -> bool:
+    """Whether a registry entry or mapping selector comes from outside
+    ``repro`` (an object with no ``__module__``, like a
+    ``functools.partial``, counts as outside)."""
+    from repro.design import registry
+    from repro.suite.populations import POPULATIONS
+
+    tables = (
+        registry.CODES,
+        registry.CHECKERS,
+        registry.MAPPINGS,
+        registry.DECODERS,
+        POPULATIONS,
+    )
+    entries = [table.get(name) for table in tables for name in table.names()]
+    entries += [predicate for predicate, _ in registry._MAPPING_SELECTORS]
+    return not all(_from_repro(entry) for entry in entries)
+
+
+def _index_source() -> Optional[str]:
+    """The fingerprint to read or write the index under, ``None`` when
+    the index is off for now (checked at every read and write)."""
+    if _plugins_registered():
+        return None
+    return source_fingerprint()
+
+
+def _run_campaign(cell: CampaignCell, store, cache: bool):
+    """A campaign cell's result set, through the cell index where the
+    engine's policy lets a stored result stand in for a simulation."""
+    engine = _campaign_engine(cell, store, cache)
+    run = _CAMPAIGN_RUNNERS[cell.family]
+    if store is None:
+        return run(cell, engine)
+    material = cell.to_dict()
+    del material["cell"]
+    digest = content_digest(canonical_json(material))
+    if engine._reads_store:
+        source = _index_source()
+        entry = store.cell_entry(digest) if source is not None else None
+        if entry is not None and entry["source"] == source:
+            cached = store.get(entry["key"])
+            if cached is not None:
+                cached.from_store = True
+                return cached
+    result = run(cell, engine)
+    source = _index_source()
+    if source is not None and result.store_key is not None:
+        store.put_cell_entry(digest, result.store_key, source)
+    return result
 
 
 def execute_cell(
@@ -247,7 +385,7 @@ def execute_cell(
             summary, provenance, key, hit = _run_design(cell, store, cache)
             status = "hit" if hit else "ran"
         else:
-            result = _CAMPAIGN_RUNNERS[cell.family](cell, store, cache)
+            result = _run_campaign(cell, store, cache)
             summary = result.summary()
             provenance = (
                 result.provenance.to_dict() if result.provenance else None

@@ -240,6 +240,35 @@ class TestServeCommand:
         assert code == 0
         assert f"recovered 1 interrupted job(s): {record.job_id}" in err
 
+    def test_serve_names_the_jobs_recovery_cancelled(
+        self, capsys, tmp_path, interrupted_server
+    ):
+        # the previous server died after persisting a cancel request on
+        # one running job; another running job had none
+        from repro.service import JobQueue
+
+        root = str(tmp_path / "store")
+        queue = JobQueue(root)
+        doomed = queue.create(
+            suite="tiny", spec=tiny_suite().to_dict(), job_id="doomed"
+        )
+        queue.transition(doomed.job_id, "running")
+        queue.update(doomed.job_id, progress={"cancel_requested": True})
+        resumed = queue.create(
+            suite="tiny", spec=tiny_suite().to_dict(), job_id="resumed"
+        )
+        queue.transition(resumed.job_id, "running")
+
+        code, _, err = run_cli(capsys, "serve", "--store", root)
+        assert code == 0
+        lines = err.splitlines()
+        assert "recovered 1 interrupted job(s): resumed" in lines
+        assert (
+            "cancelled 1 interrupted job(s) with a pending cancel "
+            "request: doomed"
+        ) in lines
+        assert JobQueue(root).get("doomed").state == "cancelled"
+
     def test_serve_rejects_bad_workers(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "serve", "--store", str(tmp_path / "store"),

@@ -16,11 +16,18 @@ from repro.faultsim.injector import (
     rom_fault_list,
     sample_faults,
 )
-from repro.memory.faults import CellStuckAt
+from repro.memory.faults import CellStuckAt, CouplingFault
+from repro.memory.march import MATS_PLUS
 from repro.memory.organization import MemoryOrganization
-from repro.results import ResultRecord, ResultSet
+from repro.memory.ram import BehavioralRAM
+from repro.results import ResultRecord, ResultSet, describe_target
 from repro.rom.nor_matrix import CheckedDecoder
-from repro.scenarios import Workload
+from repro.scenarios import (
+    CampaignEngine,
+    MemoryScenario,
+    TransientScenario,
+    Workload,
+)
 
 
 def _uniform_addresses(n_bits, cycles, seed=0):
@@ -203,3 +210,92 @@ class TestResults:
         assert record.latency == 2
         record = ResultRecord("f", "sa1", first_detection=4)
         assert record.latency is None
+
+
+ENGINES = ("vector", "serial")
+
+
+def _write_coupling():
+    """A write driving address 1, bit 0 to 1 forces address 2, bit 1."""
+    return CouplingFault(1, 0, 2, 1, trigger=1, forced=1,
+                         write_triggered=True)
+
+
+def _faulted_scheme():
+    """A small scheme with a behavioural fault registered on its RAM and
+    a fault on each decoder, all injected before any campaign."""
+    org = MemoryOrganization(16, 4, column_mux=2)
+    memory = SelfCheckingMemory.from_selection(org, select_code(10, 1e-9))
+    memory.inject_memory_fault(_write_coupling())
+    memory.inject_row_fault(
+        NetStuckAt(memory.row.tree.root.output_nets[0], 1)
+    )
+    memory.inject_column_fault(
+        NetStuckAt(memory.column.tree.root.output_nets[0], 1)
+    )
+    return memory
+
+
+class TestCampaignFaultState:
+    """Each campaign family leaves its target the same way on both
+    engines."""
+
+    @pytest.mark.parametrize("listed", [False, True], ids=["empty", "faults"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_scheme_campaign_ends_with_no_fault_injected(
+        self, engine, listed
+    ):
+        memory = _faulted_scheme()
+        faults = {}
+        if listed:
+            faults = {
+                "row_faults": decoder_fault_list(memory.row)[:3],
+                "memory_faults": [CellStuckAt(3, 0, 1)],
+            }
+        scheme_campaign(
+            memory, _uniform_addresses(memory.organization.n, 32, seed=1),
+            engine=engine, **faults,
+        )
+        assert memory.ram.faults == []
+        assert memory.row_faults == []
+        assert memory.column_faults == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_decoder_campaign_leaves_the_checked_decoder_as_built(
+        self, engine
+    ):
+        checked = CheckedDecoder(mapping_for_code(MOutOfNCode(3, 5), 4))
+        checker = MOutOfNChecker(3, 5, structural=False)
+        before = describe_target(checked)
+        outputs = [checked.evaluate(address) for address in range(16)]
+        decoder_campaign(
+            checked, checker, decoder_fault_list(checked),
+            _uniform_addresses(4, 64, seed=2), engine=engine,
+        )
+        assert describe_target(checked) == before
+        assert [checked.evaluate(a) for a in range(16)] == outputs
+
+    @pytest.mark.parametrize("family", ["transient", "march"])
+    def test_event_campaigns_refuse_a_pre_injected_fault_alike(
+        self, family
+    ):
+        messages = set()
+        for engine in ENGINES:
+            ram = BehavioralRAM(MemoryOrganization(16, 8, column_mux=4))
+            ram.inject(_write_coupling())
+            campaign = CampaignEngine(engine=engine)
+            with pytest.raises(ValueError, match="fault-free RAM") as info:
+                if family == "transient":
+                    campaign.transient(
+                        ram,
+                        [TransientScenario.single(0, bit=0, cycle=1)],
+                        Workload.uniform(16, 32, seed=1),
+                    )
+                else:
+                    campaign.march(
+                        ram, [MemoryScenario(CellStuckAt(0, 0, 1))],
+                        MATS_PLUS,
+                    )
+            messages.add(str(info.value))
+            assert len(ram.faults) == 1
+        assert len(messages) == 1

@@ -10,6 +10,8 @@ run.
 import json
 import multiprocessing
 import os
+import sys
+import threading
 
 import pytest
 
@@ -194,6 +196,132 @@ class TestConcurrentWriters:
             assert store.get(key) == sample_set()
             # both writers promoted complete files; no strays linger
             assert [n for n in os.listdir(root) if ".tmp" in n] == []
+
+
+    def test_two_thread_put_race_on_one_key(self, tmp_path):
+        """Two threads of one process putting one key, as two job
+        threads of `repro serve` do: pid-only temp names let one
+        thread's promotion move the other's temp file away
+        (`FileNotFoundError`)."""
+        store = ResultStore(tmp_path / "store")
+        key = campaign_key({"campaign": "threads"})
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def writer():
+            barrier.wait(timeout=30)
+            try:
+                for _ in range(300):
+                    store.put(key, sample_set(), {"campaign": "threads"})
+                    store.put_report(key, {"suite": "threads"})
+                    store.put_cell_entry(key, key, "source")
+            except Exception as exc:  # collected, asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        reopened = ResultStore(store.root)
+        assert reopened.get(key) == sample_set()
+        assert reopened.get_report(key) == {"suite": "threads"}
+        assert reopened.stats.verified == reopened.stats.hits == 2
+        assert reopened.cell_entry(key) == {"key": key, "source": "source"}
+        strays = [
+            name
+            for base, _, names in os.walk(store.root)
+            for name in names
+            if name.endswith(".tmp")
+        ]
+        assert strays == []
+
+
+class TestMetaFormat:
+    def test_meta_is_one_compact_line(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = campaign_key({"m": 1})
+        material = {"m": 1, "rom": [[1, 0, 1], [0, 1, 1]]}
+        store.put(key, sample_set(), material)
+        text = open(store._meta_path(key)).read()
+        assert text.endswith("\n") and text.count("\n") == 1
+        meta = json.loads(text)
+        assert text == json.dumps(
+            meta, sort_keys=True, separators=(",", ":")
+        ) + "\n"
+        # the fields an indented meta held, unchanged
+        assert set(meta) == {
+            "key", "sha256", "material", "shard", "summary", "campaign",
+            "repro_version", "created_at",
+        }
+        assert meta["key"] == key and meta["material"] == material
+        assert meta["summary"] == sample_set().summary()
+
+    def test_an_indented_meta_still_serves_verified_hits(self, tmp_path):
+        # metas written before 2.6 are indented JSON
+        store = ResultStore(tmp_path)
+        key = campaign_key({"m": 2})
+        store.put(key, sample_set(), {"m": 2})
+        meta = store.meta(key)
+        with open(store._meta_path(key), "w") as handle:
+            json.dump(meta, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        reopened = ResultStore(tmp_path)
+        assert reopened.get(key) == sample_set()
+        assert reopened.stats.verified == reopened.stats.hits == 1
+        assert reopened.meta(key) == meta
+        assert reopened.verify_all()["ok"]
+
+
+class TestCellIndexFiles:
+    """The store's side of the suite cell index: the layout of
+    ``<root>/cells/`` (the runner decides when to read and write)."""
+
+    DIGEST = "d" * 64
+
+    def test_entry_round_trips_as_one_compact_object(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = campaign_key({"i": 1})
+        assert store.cell_entry(self.DIGEST) is None
+        store.put_cell_entry(self.DIGEST, key, "fingerprint")
+        assert store.cell_entry(self.DIGEST) == {
+            "key": key, "source": "fingerprint"
+        }
+        path = os.path.join(store.root, "cells", self.DIGEST)
+        assert open(path).read() == (
+            '{"key":"%s","source":"fingerprint"}' % key
+        )
+        # a pointer read is not a store request
+        assert store.stats.requests == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{", "", "[]", '{"key": 1, "source": "s"}', '{"key": "%s"}' % (
+            "a" * 64), '{"key": "../x", "source": "s"}'],
+        ids=["torn", "empty", "list", "int-key", "no-source", "not-a-key"],
+    )
+    def test_torn_or_malformed_entry_reads_as_absent(self, tmp_path, text):
+        store = ResultStore(tmp_path)
+        store.put_cell_entry(self.DIGEST, "a" * 64, "s")
+        with open(os.path.join(store.root, "cells", self.DIGEST), "w") as f:
+            f.write(text)
+        assert store.cell_entry(self.DIGEST) is None
+
+    def test_dangling_entry_is_counted_never_verified(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(campaign_key({"i": 2}), sample_set())
+        store.put_cell_entry(self.DIGEST, "b" * 64, "s")  # no such key
+        usage = store.usage()
+        assert usage["cells"] == 1 and usage["campaigns"] == 1
+        outcome = store.verify_all()
+        assert outcome["ok"] and outcome["checked"] == 1
 
 
 class TestStoreIntrospection:

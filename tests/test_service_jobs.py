@@ -215,7 +215,7 @@ class TestRecover:
         # a new process opens the same table: the in-flight job comes
         # back queued (store-backed resume makes re-running idempotent)
         reopened = JobQueue(root)
-        assert reopened.recover() == ["mid"]
+        assert reopened.recover() == (["mid"], [])
         record = reopened.get("mid")
         assert record.state == "queued"
         assert record.recovered
@@ -224,7 +224,7 @@ class TestRecover:
 
     def test_recover_is_idempotent(self, tmp_path):
         queue = make_queue(tmp_path)
-        assert queue.recover() == []
+        assert queue.recover() == ([], [])
 
     def test_running_job_with_a_cancel_request_is_cancelled(self, tmp_path):
         root = str(tmp_path / "store")
@@ -234,7 +234,7 @@ class TestRecover:
         queue.update(record.job_id, progress={"cancel_requested": True})
 
         reopened = JobQueue(root)
-        assert reopened.recover() == []
+        assert reopened.recover() == ([], ["cxl"])
         survivor = reopened.get("cxl")
         assert survivor.state == "cancelled"
         assert "restarted" in survivor.error

@@ -3,6 +3,9 @@ store-backed resume, fail-soft scheduling, aggregate SuiteReport."""
 
 import dataclasses
 import json
+import os
+import shutil
+import threading
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.suite import (
     execute_cell,
     load_suite,
 )
+from repro.suite.runner import source_fingerprint
 
 
 def tiny_suite(cycles=64):
@@ -407,6 +411,8 @@ class TestPaperGridResume:
         monkeypatch.setattr(
             scenarios_engine.CampaignEngine, "_run_sharded", boom
         )
+        # ...and, through the cell index, builds no target either
+        forbid_builds(monkeypatch)
         second = SuiteRunner(store=store).run(grid)
         assert second.errors == 0
         assert second.simulated == 0
@@ -415,3 +421,346 @@ class TestPaperGridResume:
         assert first.to_dict(stable_only=True) == second.to_dict(
             stable_only=True
         )
+
+    def test_smoke_double_run_builds_nothing(self, tmp_path, monkeypatch):
+        # smoke has a scheme cell, whose target is a whole built memory
+        store = str(tmp_path / "store")
+        smoke = builtin_suite("smoke")
+        assert "scheme" in smoke.families()
+        first = SuiteRunner(store=store).run(smoke)
+        assert first.errors == 0
+        forbid_builds(monkeypatch)
+        second = SuiteRunner(store=store).run(smoke)
+        assert second.errors == 0 and second.simulated == 0
+        assert second.verified_hits == len(smoke.cells())
+        assert first.to_dict(stable_only=True) == second.to_dict(
+            stable_only=True
+        )
+
+
+def forbid_builds(monkeypatch):
+    """Make every way of building a campaign target, its fault list or
+    its key material raise."""
+    import repro.results.store as store_module
+    import repro.scenarios.engine as scenarios_engine
+    import repro.suite.populations as populations
+    from repro.design.engine import DesignEngine
+    from repro.rom.nor_matrix import CheckedDecoder
+
+    def built(*args, **kwargs):
+        raise AssertionError("a resumed cell built its target")
+
+    monkeypatch.setattr(CheckedDecoder, "__init__", built)
+    monkeypatch.setattr(DesignEngine, "build", built)
+    monkeypatch.setattr(store_module, "describe_target", built)
+    monkeypatch.setattr(scenarios_engine, "describe_target", built)
+    monkeypatch.setattr(populations, "build_population", built)
+
+
+def index_suite():
+    """One cell or two of every family the cell index covers."""
+    smoke = builtin_suite("smoke")
+    return SuiteSpec(
+        name="index",
+        blocks=tuple(b for b in smoke.blocks if b.family != "design"),
+    )
+
+
+def entries(store):
+    """``{digest: entry}`` of a store's cell index, read off the files
+    (``None`` for an entry that is not JSON)."""
+    cells = os.path.join(store, "cells")
+    out = {}
+    for name in sorted(os.listdir(cells)):
+        with open(os.path.join(cells, name)) as handle:
+            try:
+                out[name] = json.load(handle)
+            except ValueError:
+                out[name] = None
+    return out
+
+
+class TestCellIndex:
+    """The cell index serves only a current entry; every other case
+    re-keys through the target build, serves the same verified hit and
+    rewrites the entry."""
+
+    @pytest.fixture
+    def filled(self, tmp_path):
+        store = str(tmp_path / "store")
+        first = SuiteRunner(store=store).run(index_suite())
+        assert first.errors == 0 and first.simulated == 6
+        return store, first
+
+    @pytest.fixture
+    def keyings(self, monkeypatch):
+        """Counts the target descriptions campaigns key on."""
+        import repro.scenarios.engine as scenarios_engine
+
+        calls = []
+        real = scenarios_engine.describe_target
+
+        def counted(target):
+            calls.append(type(target).__name__)
+            return real(target)
+
+        monkeypatch.setattr(scenarios_engine, "describe_target", counted)
+        return calls
+
+    def resumed_like(self, store, first):
+        report = SuiteRunner(store=store).run(index_suite())
+        assert report.errors == 0 and report.simulated == 0
+        assert report.verified_hits == len(first.cells)
+        assert [c.store_key for c in report.cells] == [
+            c.store_key for c in first.cells
+        ]
+        assert report.to_dict(stable_only=True) == first.to_dict(
+            stable_only=True
+        )
+        return report
+
+    def test_one_entry_per_cell_naming_its_key(self, filled):
+        store, first = filled
+        index = entries(store)
+        assert len(index) == len(first.cells)
+        assert sorted(e["key"] for e in index.values()) == sorted(
+            c.store_key for c in first.cells
+        )
+        assert {e["source"] for e in index.values()} == {
+            source_fingerprint()
+        }
+
+    def test_current_entries_skip_the_keying(self, filled, keyings):
+        self.resumed_like(*filled)
+        assert keyings == []
+
+    def test_entry_with_another_source_is_rekeyed_and_rewritten(
+        self, filled, keyings
+    ):
+        store, first = filled
+        opened = ResultStore(store)
+        for digest, entry in entries(store).items():
+            opened.put_cell_entry(digest, entry["key"], "0" * 64)
+        self.resumed_like(store, first)
+        assert keyings  # today's path computed every key
+        assert {e["source"] for e in entries(store).values()} == {
+            source_fingerprint()
+        }
+
+    def test_torn_entry_is_rekeyed_and_rewritten(self, filled, keyings):
+        store, first = filled
+        before = entries(store)
+        for digest in before:
+            with open(os.path.join(store, "cells", digest), "w") as handle:
+                handle.write("{")
+        self.resumed_like(store, first)
+        assert keyings
+        assert entries(store) == before
+
+    def test_entry_naming_a_deleted_key_simulates_that_cell(self, filled):
+        store, first = filled
+        victim = first.cells[0]
+        ResultStore(store).delete(victim.store_key)
+        resumed = SuiteRunner(store=store).run(index_suite())
+        assert resumed.errors == 0
+        assert resumed.simulated == 1 and resumed.cells[0].status == "ran"
+        assert resumed.hits == len(first.cells) - 1
+        assert resumed.to_dict(stable_only=True) == first.to_dict(
+            stable_only=True
+        )
+        # the entry is rewritten, and the next run is all index hits
+        assert victim.store_key in {e["key"] for e in entries(store).values()}
+        again = SuiteRunner(store=store).run(index_suite())
+        assert again.verified_hits == len(first.cells)
+
+    def test_no_sources_turn_the_index_off(
+        self, filled, keyings, monkeypatch, tmp_path
+    ):
+        import repro.suite.runner as runner
+
+        store, first = filled
+        empty = tmp_path / "no-sources"
+        empty.mkdir()
+        (empty / "README").write_text("no python here")
+        monkeypatch.setattr(runner, "_package_root", lambda: str(empty))
+        assert source_fingerprint() is None
+        shutil.rmtree(os.path.join(store, "cells"))
+        self.resumed_like(store, first)
+        assert keyings
+        assert not os.path.exists(os.path.join(store, "cells"))
+
+    def test_concurrent_first_calls_agree(self, monkeypatch):
+        import repro.suite.runner as runner
+
+        expected = source_fingerprint()
+        monkeypatch.setattr(runner, "_SOURCE_DIGESTS", {})
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def first_call():
+            barrier.wait(timeout=30)
+            seen.append(source_fingerprint())
+
+        threads = [threading.Thread(target=first_call) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [expected] * 8
+        assert len(runner._SOURCE_DIGESTS) == 1
+
+    def test_fingerprint_covers_the_march_table(self, monkeypatch):
+        from repro.memory import march
+
+        before = source_fingerprint()
+        assert before == source_fingerprint()
+        monkeypatch.setitem(
+            march.MARCH_TESTS, "MATS+", march.MARCH_C_MINUS
+        )
+        assert source_fingerprint() != before
+
+
+class TestCellIndexPluginGuard:
+    """A registration from outside ``repro`` can change what a cell
+    builds without a source edit: the index is then neither read nor
+    written."""
+
+    def test_foreign_population_turns_the_index_off(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.suite.populations import POPULATIONS
+
+        store = str(tmp_path / "store")
+        first = SuiteRunner(store=store).run(index_suite())
+        shutil.rmtree(os.path.join(store, "cells"))
+        POPULATIONS.register("test-foreign-pop", lambda target, params: [])
+        try:
+            monkeypatch.setattr(
+                ResultStore, "cell_entry",
+                lambda self, digest: pytest.fail("index read"),
+            )
+            resumed = SuiteRunner(store=store).run(index_suite())
+        finally:
+            POPULATIONS.unregister("test-foreign-pop")
+        assert resumed.verified_hits == len(first.cells)
+        assert not os.path.exists(os.path.join(store, "cells"))
+
+    def test_foreign_mapping_selector_turns_the_index_off(
+        self, tmp_path, monkeypatch
+    ):
+        import functools
+
+        from repro.design import registry
+
+        store = str(tmp_path / "store")
+        SuiteRunner(store=store).run(index_suite())
+        before = entries(store)
+        monkeypatch.setattr(
+            registry, "_MAPPING_SELECTORS",
+            list(registry._MAPPING_SELECTORS),
+        )
+        # a partial has no __module__ of its own: it counts as foreign
+        registry.register_mapping_selector(
+            "mod", functools.partial(isinstance, classinfo=float)
+        )
+        monkeypatch.setattr(
+            ResultStore, "cell_entry",
+            lambda self, digest: pytest.fail("index read"),
+        )
+        monkeypatch.setattr(
+            ResultStore, "put_cell_entry",
+            lambda self, *args: pytest.fail("index written"),
+        )
+        resumed = SuiteRunner(store=store).run(index_suite())
+        assert resumed.verified_hits == len(resumed.cells)
+        assert entries(store) == before
+
+    def test_replaced_rom_programming_misses_never_serves_the_entry(
+        self, tmp_path
+    ):
+        # a decoder cell takes its mapping kind from the code selection,
+        # so a replaced mapping factory is the registration that changes
+        # its ROM programming
+        from repro.core.mapping import ModAMapping
+        from repro.design.registry import MAPPINGS
+
+        store = str(tmp_path / "store")
+        suite = SuiteSpec(
+            name="decoder-only",
+            blocks=tuple(
+                b for b in index_suite().blocks if b.family == "decoder"
+            ),
+        )
+        first = SuiteRunner(store=store).run(suite)
+        before = entries(store)
+        original = MAPPINGS.get("mod")
+        MAPPINGS.unregister("mod")
+        # every address programmed with the first code word
+        MAPPINGS.register(
+            "mod",
+            lambda code, n_bits, complete=True: ModAMapping(
+                code, n_bits, a=1, complete=False
+            ),
+        )
+        try:
+            replaced = SuiteRunner(store=store).run(suite)
+        finally:
+            MAPPINGS.unregister("mod")
+            MAPPINGS.register("mod", original)
+        assert replaced.errors == 0
+        assert replaced.simulated == 1
+        assert replaced.cells[0].store_key != first.cells[0].store_key
+        assert entries(store) == before
+        restored = SuiteRunner(store=store).run(suite)
+        assert restored.verified_hits == 1
+        assert restored.cells[0].store_key == first.cells[0].store_key
+
+
+class TestCellIndexPolicy:
+    def test_serial_engine_never_reads_an_entry(self, tmp_path, monkeypatch):
+        store = str(tmp_path / "store")
+        SuiteRunner(store=store).run(index_suite())
+        monkeypatch.setattr(
+            ResultStore, "cell_entry",
+            lambda self, digest: pytest.fail("index read"),
+        )
+        serial = SuiteRunner(store=store).run(index_suite(), engine="serial")
+        assert serial.errors == 0
+        assert serial.simulated == len(serial.cells)
+
+    def test_no_cache_reruns_and_rewrites_the_entry(
+        self, tmp_path, monkeypatch
+    ):
+        store = str(tmp_path / "store")
+        SuiteRunner(store=store).run(index_suite())
+        opened = ResultStore(store)
+        for digest, entry in entries(store).items():
+            opened.put_cell_entry(digest, entry["key"], "0" * 64)
+        monkeypatch.setattr(
+            ResultStore, "cell_entry",
+            lambda self, digest: pytest.fail("index read"),
+        )
+        again = SuiteRunner(store=store, cache=False).run(index_suite())
+        assert again.simulated == len(again.cells)
+        assert {e["source"] for e in entries(store).values()} == {
+            source_fingerprint()
+        }
+
+    def test_tampered_payload_behind_an_entry_is_a_one_line_error(
+        self, tmp_path
+    ):
+        store = str(tmp_path / "store")
+        first = SuiteRunner(store=store).run(index_suite())
+        victim = first.cells[1]
+        opened = ResultStore(store)
+        with open(opened._payload_path(victim.store_key), "a") as handle:
+            handle.write('{"f":"evil","k":"sa1"}\n')
+        resumed = SuiteRunner(store=store).run(index_suite())
+        failed = resumed.cells[1]
+        assert failed.status == "error"
+        assert failed.error.startswith("ResultStoreError: ")
+        assert "hash verification" in failed.error
+        assert "\n" not in failed.error
+        assert resumed.errors == 1
+        assert resumed.verified_hits == len(first.cells) - 1
