@@ -22,13 +22,20 @@ equivalence is exactly what a campaign observes, which is what lets the
 vector engine (:mod:`repro.faultsim.vectorsim`) simulate one representative
 per class and fan the measured latencies back out to every member.
 
-For the paper's decoder trees the collapse ratio is substantial — the
-AND-tree structure chains controlling values level to level — which is
-what makes exhaustive campaigns on wider decoders affordable.
+Over the full fault universe of the paper's decoder trees the collapse
+ratio is substantial — the AND-tree structure chains controlling values
+level to level.  The stem-only lists campaigns run by default merge
+nothing, though: two stems share a class only through a rule-1 edge, so
+a list whose stems all have several readers (or are outputs) and which
+holds no pin fault is all singletons.  :func:`collapse_faults` returns
+such a list as is, without building the union-find; lists with pin
+faults (``decoder-style``'s) still collapse.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 from repro.circuits.faults import FaultBase, NetStuckAt, PinStuckAt
@@ -134,6 +141,16 @@ def _universe_keys(circuit: Circuit) -> List[Tuple]:
     return keys
 
 
+def _can_merge(fault, readers, observable, num_nets) -> bool:
+    """Whether ``fault`` may share a class with another listed fault:
+    anything but a stem fault on an output or on a net without exactly
+    one reader pin (``readers``: reader pins per net; faults the universe
+    does not hold take the union-find, which rejects them)."""
+    if type(fault) is not NetStuckAt or not 0 <= fault.net < num_nets:
+        return True
+    return fault.net not in observable and readers[fault.net] == 1
+
+
 def collapse_faults(
     circuit: Circuit, faults: Sequence[FaultBase] = None
 ) -> FaultClasses:
@@ -143,30 +160,47 @@ def collapse_faults(
     union-find still runs over the full key universe, so equivalences
     through unlisted faults still merge — but no universe fault objects
     are materialised, which keeps per-campaign collapsing cheap).
+
+    A list that cannot merge is returned as singleton classes, deduplicated
+    by key in first-occurrence order, without the union-find: every fault
+    is a :class:`NetStuckAt` on a net that is an output or has other than
+    one reader pin.  Each fault has at most one equivalence towards the
+    outputs (a stem towards its lone reader's pin, a pin towards its gate's
+    output), so every class is a tree with one such fault as its root;
+    such a stem has none, so it is a root, and no two roots share a class.
     """
+    readers = Counter(
+        itertools.chain.from_iterable(gate.inputs for gate in circuit.gates)
+    )
+    observable = set(circuit.output_nets)
+
+    if faults is not None and not any(
+        _can_merge(fault, readers, observable, circuit.num_nets)
+        for fault in faults
+    ):
+        unique: Dict[Tuple, FaultBase] = {}
+        for fault in faults:
+            unique.setdefault(fault.key(), fault)
+        singletons = [[fault] for fault in unique.values()]
+        return FaultClasses(singletons, len(unique))
+
     uf = _UnionFind()
     for key in _universe_keys(circuit):
         uf.add(key)
-
-    fanout: Dict[int, List[Tuple[int, int]]] = {}
-    for gate in circuit.gates:
-        for pin, net in enumerate(gate.inputs):
-            fanout.setdefault(net, []).append((gate.index, pin))
 
     # Rule 1: single-reader stems — stem fault ≡ the lone pin fault.
     # Guarded by observability: if the stem net is itself a primary
     # output (e.g. a decoder word line also feeding one ROM column), the
     # stem fault flips that output while the branch fault does not, so
     # the two are distinguishable and must stay in separate classes.
-    observable = set(circuit.output_nets)
-    for net, readers in fanout.items():
-        if len(readers) == 1 and net not in observable:
-            gate_index, pin = readers[0]
-            for value in (0, 1):
-                uf.union(
-                    ("net", net, value),
-                    ("pin", gate_index, pin, value),
-                )
+    for gate in circuit.gates:
+        for pin, net in enumerate(gate.inputs):
+            if readers[net] == 1 and net not in observable:
+                for value in (0, 1):
+                    uf.union(
+                        ("net", net, value),
+                        ("pin", gate.index, pin, value),
+                    )
 
     for gate in circuit.gates:
         # Rule 2: inverting/buffering single-input gates.

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits.faults import FaultBase
+from repro.circuits.faults import FaultBase, NetStuckAt
 from repro.circuits.gates import GateType
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "lane_mask",
     "lanes_equal_const",
     "low_pressure_order",
+    "or_counts",
     "pack_bool",
     "popcount_slices",
     "unpack_lanes",
@@ -137,6 +138,22 @@ def popcount_slices(columns, mask):
         if carry.any():
             slices.append(carry)
     return slices
+
+
+def or_counts(rows):
+    """``(ones, twos)`` over axis 0 of a (K, ...) word stack, K >= 1:
+    the bits set in at least one row, and in at least two.
+
+    The OR of every row but row ``x`` is then ``twos | (ones &
+    ~rows[x])``, for all ``x`` at once.  A bit is in ``twos`` when some
+    row has it and so does a row before it: one running OR (the only
+    temporary, no larger than the stack) turned in place into those
+    overlaps, then reduced.
+    """
+    seen = np.bitwise_or.accumulate(rows, axis=0)
+    overlap = seen[:-1]
+    np.bitwise_and(overlap, rows[1:], out=overlap)
+    return seen[-1], np.bitwise_or.reduce(overlap, axis=0)
 
 
 def lanes_equal_const(slices, value: int, mask, shape):
@@ -356,6 +373,30 @@ class VectorCircuit:
         self.outputs = set(circuit.output_nets)
         #: most nets held at once by :meth:`evaluate` (sizes batches)
         self.live = self._live_width()
+        #: wide gates whose output nothing reads, by gate index
+        self.sinks = {
+            gate.index
+            for gate, _, _, wide in self.steps
+            if wide and not self.reads[gate.output]
+            and not self.folds[gate.output]
+        }
+        #: per net: the output nets of the wide gates it folds into when
+        #: the net is *terminal* — no narrow gate reads it, and each of
+        #: those gates reads it at one pin and is a sink — else None.
+        #: Forcing a terminal net changes only the net and those gates'
+        #: folds (:meth:`terminal_words`).
+        self.terminal: List = [None] * circuit.num_nets
+        gates = circuit.gates
+        for net, folds in enumerate(self.folds):
+            readers = {index for index, _ in folds}
+            if (
+                not self.reads[net]
+                and len(readers) == len(folds)
+                and readers <= self.sinks
+            ):
+                self.terminal[net] = tuple(
+                    gates[index].output for index, _ in folds
+                )
 
     def _live_width(self) -> int:
         """Most fault-batch matrices :meth:`evaluate` holds at once: the
@@ -400,6 +441,104 @@ class VectorCircuit:
                     step, [values[src] for src in gate.inputs], mask
                 )
         return table
+
+    def terminal_forces(self, reps: Sequence[FaultBase], lines=frozenset()):
+        """``(nets, values)`` int64 arrays over ``reps``: the net and value
+        a terminal fault forces, and net -1 for a fault :meth:`evaluate`
+        must run gate by gate.
+
+        A fault is terminal when its ``register`` forces exactly one
+        net, no pin, and that net is terminal (:attr:`terminal`).  One
+        whose wide gates drive a net of ``lines`` is not: callers take
+        those nets' faulted words only from a fault forcing them.
+        """
+        forces = np.full((2, len(reps)), -1, dtype=np.int64)
+        num_nets = self.circuit.num_nets
+        for pos, fault in enumerate(reps):
+            if type(fault) is NetStuckAt:
+                net, value = fault.net, fault.value
+            else:
+                nets: Dict[int, int] = {}
+                pins: Dict[Tuple[int, int], int] = {}
+                fault.register(nets, pins)
+                if pins or len(nets) != 1:
+                    continue
+                (net, value), = nets.items()
+            if (
+                0 <= net < num_nets
+                and value in (0, 1)
+                and self.terminal[net] is not None
+                and lines.isdisjoint(self.terminal[net])
+            ):
+                forces[:, pos] = net, value
+        return forces[0], forces[1]
+
+    def terminal_words(self, golden, mask, outputs):
+        """``words(nets, values)``: the lane words of each net of
+        ``outputs`` under a batch of terminal faults (fault ``f`` forces
+        ``nets[f]`` to ``values[f]``), for the window of the
+        :meth:`golden` table ``golden``, as one (outputs, F, W) array.
+
+        A fault changes an output it forces, and the output of each wide
+        gate reading its net: that gate's word is the fold of its golden
+        inputs with the faulted pin's word replaced by the forced one.
+        The OR of every other pin is ``twos | (ones & ~pinned)`` with
+        :func:`or_counts` over the gate's golden inputs, computed once
+        per window; an AND fold is that OR over the complements,
+        inverted (De Morgan), and an XOR fold removes the pin's word
+        from the XOR of all of them.  Every output of a batch is
+        computed in the same few array operations.
+        """
+        gates = self.circuit.gates
+        drivers = {gates[index].output: gates[index] for index in self.sinks}
+        outs = np.asarray(outputs, dtype=np.int64)
+        shape = (len(outs),) + mask.shape
+        member = np.zeros((len(outs), self.circuit.num_nets), dtype=bool)
+        ones = np.zeros(shape, dtype=np.uint64)
+        twos = np.zeros(shape, dtype=np.uint64)
+        # per output: mask where the fold works on complements (AND) and
+        # where its result is inverted; an XOR row keeps the XOR of all
+        # its inputs in ``ones``
+        flip_in = np.zeros(shape, dtype=np.uint64)
+        flip_out = np.zeros(shape, dtype=np.uint64)
+        xor = []
+        for row, net in enumerate(outputs):
+            gate = drivers.get(net)
+            if gate is None:
+                continue
+            inputs = list(gate.inputs)
+            member[row, inputs] = True
+            fold = FOLDS[gate.gate_type]
+            if fold is np.bitwise_xor:
+                ones[row] = np.bitwise_xor.reduce(golden[inputs], axis=0)
+                xor.append(row)
+            elif fold is np.bitwise_and:
+                ones[row], twos[row] = or_counts(~golden[inputs] & mask)
+                flip_in[row] = mask
+            else:
+                ones[row], twos[row] = or_counts(golden[inputs])
+            if (gate.gate_type in _INVERTING) != (fold is np.bitwise_and):
+                flip_out[row] = mask
+
+        def words(nets, values):
+            forced = np.where(values.astype(bool)[:, None], mask, np.uint64(0))
+            pinned = golden[nets]
+            flip = flip_in[:, None]
+            word = (
+                twos[:, None]
+                | (ones[:, None] & ~(pinned ^ flip))
+                | (forced ^ flip)
+            )
+            if xor:
+                word[xor] = ones[xor][:, None] ^ pinned ^ forced
+            word ^= flip_out[:, None]
+            word = np.where(
+                member[:, nets][..., None], word, golden[outs][:, None]
+            )
+            own = outs[:, None] == nets
+            return np.where(own[..., None], forced, word)
+
+        return words
 
     def batches(self, count: int, words: int) -> List[slice]:
         """Slices of a ``count``-fault list whose batches keep about

@@ -77,7 +77,7 @@ def escape_probability(
     total = 1 << i
     if m1 is None:
         eff = (a // modulus_gcd) if modulus_gcd > 1 else a
-        return Fraction(math.ceil(total / eff), total)
+        return Fraction(-(-total // eff), total)
     return Fraction(collision_count(i, a, m1, modulus_gcd), total)
 
 
@@ -97,13 +97,23 @@ def worst_escape_over_blocks(a: int, max_width: int) -> Fraction:
     trade-off formula uses only the ``2^i > a`` regime.  If no width
     exceeds ``a`` (tiny decoders), every fault has zero latency and the
     escape is the non-excitation probability of the widest block.
+
+    Closed form, in integers: with ``i0 = max(a.bit_length(), 1)``, the
+    smallest width with ``2^i0 > a``, the supremum is
+    ``ceil(2^i0/a) / 2^i0`` when ``i0 <= max_width``, else
+    ``1/2^max_width``.  Proof: for every ``i >= i0``,
+    ``ceil(2^i/a) <= 2^(i-i0) * ceil(2^i0/a)`` (the right side is an
+    integer at least ``2^i/a``), so the bound never grows with ``i``.
     """
     if max_width < 1:
         raise ValueError(f"max_width must be >= 1, got {max_width}")
-    widths = [i for i in range(1, max_width + 1) if (1 << i) > a]
-    if not widths:
+    if a < 1:
+        raise ValueError(f"a must be >= 1, got {a}")
+    i0 = max(a.bit_length(), 1)
+    if i0 > max_width:
         return Fraction(1, 1 << max_width)
-    return max(worst_escape_probability(i, a) for i in widths)
+    total = 1 << i0
+    return Fraction(-(-total // a), total)
 
 
 def pndc(i: int, a: int, c: int, m1: Optional[int] = None) -> Fraction:

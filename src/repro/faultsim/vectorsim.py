@@ -11,6 +11,22 @@ collapsed fault list).  Checkers judge the lanes through their
 vectorized trailing-bit arithmetic; there is no per-fault Python in the
 hot path.
 
+Most of a checked decoder's faults never enter the gate-by-gate
+traversal.  A *terminal* fault forces one net and no pin, and that net
+is read only by wide gates whose output nothing reads, each at one pin
+(:attr:`~repro.circuits.parallel.VectorCircuit.terminal`): a word-line
+or ROM-column stem, 522 of the 634 stem faults of the paper's 2048x16
+row decoder.  It changes only its own net and those gates' folds, so a
+window computes all of them with a handful of NumPy ops: each ROM
+column folds its golden inputs with the faulted pin's word replaced
+(:meth:`~repro.circuits.parallel.VectorCircuit.terminal_words`), and
+the word-line term (``err`` of a decoder campaign, the parity
+violations of a scheme campaign) is the OR over every other line, from
+one pass that counts the bits set in at least one line and in at least
+two (:func:`~repro.circuits.parallel.or_counts`), plus the faulted
+line's own term.  The checkers and first-lane arithmetic are shared
+with the traversal, which still runs every other fault.
+
 Scheme campaigns never read through the behavioural RAM either.  The
 array contents are one (words, word_width) image: with the default
 writer it is built columnar (:func:`default_scheme_image`) and
@@ -58,6 +74,7 @@ from repro.circuits.parallel import (
     VectorCircuit,
     first_set_lanes,
     lane_mask,
+    or_counts,
     pack_bool,
     unpack_lanes,
 )
@@ -214,6 +231,67 @@ def _mask_through_lane(words, lanes):
     return words & keep
 
 
+def _terminal_rows(sim, golden, mask, line_of, rom_nets, terms, stuck_term):
+    """``bulk_rows(nets, values)`` for one window: the (line term, ROM
+    columns) of a batch of terminal faults.
+
+    The line term is the OR over the word lines of their ``terms`` (one
+    row per ``line_of`` entry, in its order), where the line a fault
+    forces contributes ``stuck_term(rows, values)`` instead of its
+    golden term.  The OR of every line but one is ``twos | (ones &
+    ~terms[row])`` (:func:`or_counts`), so no per-fault table is built.
+    The ROM columns come from :meth:`VectorCircuit.terminal_words`.
+    """
+    rom_words = sim.terminal_words(golden, mask, rom_nets)
+    ones, twos = or_counts(terms)
+    row_of = np.full(sim.circuit.num_nets, -1, dtype=np.int64)
+    row_of[list(line_of)] = np.arange(len(line_of))
+
+    def bulk_rows(nets, values):
+        term = np.empty((len(nets),) + ones.shape, dtype=np.uint64)
+        term[...] = ones
+        rows = row_of[nets]
+        on = rows >= 0
+        if on.any():
+            row = rows[on]
+            term[on] = (
+                twos | (ones & ~terms[row]) | stuck_term(row, values[on])
+            )
+        return term, list(rom_words(nets, values))
+
+    return bulk_rows
+
+
+def _window_batches(sim, reps, forced, words, dense_rows, bulk_rows):
+    """``(positions, line term, ROM columns)`` per fault batch of one
+    window: the :meth:`VectorCircuit.batches` of ``reps``, each joining
+    the faults run gate by gate (``dense_rows(batch)``) and the
+    terminal ones (``bulk_rows(nets, values)``, from ``forced``), so
+    the checkers judge every batch once."""
+    nets, values = forced
+    for part in sim.batches(len(reps), words):
+        positions = np.arange(len(reps))[part]
+        bulk = nets[part] >= 0
+        parts = []
+        if not bulk.all():
+            dense = positions[~bulk]
+            parts.append((dense,) + dense_rows([reps[p] for p in dense]))
+        if bulk.any():
+            terminal = positions[bulk]
+            parts.append(
+                (terminal,) + bulk_rows(nets[terminal], values[terminal])
+            )
+        if len(parts) == 1:
+            yield parts[0]
+        else:
+            (first, term, rom), (second, more, more_rom) = parts
+            yield (
+                np.concatenate([first, second]),
+                np.concatenate([term, more]),
+                [np.concatenate(pair) for pair in zip(rom, more_rom)],
+            )
+
+
 # -- decoder campaigns -------------------------------------------------------
 
 
@@ -225,22 +303,28 @@ def _pack_values(values, n_bits: int):
 
 def _decoder_window(
     checked: CheckedDecoder, sim: VectorCircuit, checker: Checker,
-    window, golden, reps,
+    window, golden, reps, forced,
 ):
     """(first_error, first_detection) int64 arrays for one lane window
     (``window``: its int64 addresses, ``golden``: its fault-free
-    table).
+    table, ``forced``: :meth:`VectorCircuit.terminal_forces` of
+    ``reps``).
 
-    One vectorized traversal per fault batch: ``err`` ORs the per-line
-    mismatch against the ideal one-hot words as each word line is
-    produced, ``acc`` is the vector checker over the ROM columns, and
-    the error word is truncated at the first detection exactly as the
-    serial loop does.
+    ``err`` ORs the per-line mismatch against the ideal one-hot words,
+    ``acc`` is the vector checker over the ROM columns, and the error
+    word is truncated at the first detection exactly as the serial loop
+    does.  Faults that force one terminal net are computed in bulk: a
+    word-line fault's ``err`` is the OR of every other line's golden
+    mismatch and its forced line's own, and its ROM columns come from
+    :meth:`VectorCircuit.terminal_words` (:func:`_terminal_rows`).
+    Every other fault runs one vectorized traversal per batch, folding
+    each word line in as it is produced.
     """
     lanes = len(window)
     mask = lane_mask(lanes)
     num_lines = 1 << checked.n
     outputs = checked.circuit.output_nets
+    rom_nets = outputs[num_lines:]
     line_of = {net: line for line, net in enumerate(outputs[:num_lines])}
     # ideal one-hot words: lane k of line a is set iff window[k] == a
     lane = np.arange(lanes)
@@ -251,9 +335,9 @@ def _decoder_window(
         np.left_shift(np.uint64(1), (lane % 64).astype(np.uint64)),
     )
     line_nets = np.asarray(outputs[:num_lines])
-    errs, dets = [], []
-    for part in sim.batches(len(reps), mask.shape[0]):
-        shape = (len(reps[part]),) + mask.shape
+
+    def dense_rows(batch):
+        shape = (len(batch),) + mask.shape
         err = np.zeros(shape, dtype=np.uint64)
         rom: Dict[int, object] = {}
         golden_lines: List[int] = []
@@ -267,7 +351,7 @@ def _decoder_window(
             else:
                 np.bitwise_or(err, rows ^ ideal[line], out=err)
 
-        sim.evaluate(golden, reps[part], mask, consume)
+        sim.evaluate(golden, batch, mask, consume)
         if golden_lines:
             np.bitwise_or(
                 err,
@@ -277,13 +361,30 @@ def _decoder_window(
                 ),
                 out=err,
             )
-        acc = checker.accepts_lanes(
-            [rom[net] for net in outputs[num_lines:]], mask
+        return err, [rom[net] for net in rom_nets]
+
+    bulk_rows = None
+    if (forced[0] >= 0).any():
+        lines = np.fromiter(line_of.values(), dtype=np.int64)
+        bulk_rows = _terminal_rows(
+            sim, golden, mask, line_of, rom_nets,
+            golden[list(line_of)] ^ ideal[lines],
+            lambda row, values: np.where(
+                values.astype(bool)[:, None], mask, np.uint64(0)
+            ) ^ ideal[lines[row]],
         )
+    first_error = np.empty(len(reps), dtype=np.int64)
+    first_detection = np.empty(len(reps), dtype=np.int64)
+    for positions, err, rom in _window_batches(
+        sim, reps, forced, mask.shape[0], dense_rows, bulk_rows
+    ):
+        acc = checker.accepts_lanes(rom, mask)
         detection = first_set_lanes(~acc & mask)
-        errs.append(first_set_lanes(_mask_through_lane(err, detection)))
-        dets.append(detection)
-    return np.concatenate(errs), np.concatenate(dets)
+        first_error[positions] = first_set_lanes(
+            _mask_through_lane(err, detection)
+        )
+        first_detection[positions] = detection
+    return first_error, first_detection
 
 
 def _vector_decoder_worker(payload):
@@ -297,6 +398,9 @@ def _vector_decoder_worker(payload):
     """
     (checked, checker, stream, chunk), reps = payload
     sim = VectorCircuit(checked.circuit)
+    forced = sim.terminal_forces(
+        reps, frozenset(checked.circuit.output_nets[: 1 << checked.n])
+    )
     cap = DEFAULT_WINDOW if chunk is None else chunk
     outcomes: List[List[Optional[int]]] = [[None, None] for _ in reps]
     active = list(range(len(reps)))
@@ -310,6 +414,7 @@ def _vector_decoder_worker(payload):
             checked, sim, checker, stream[start:stop],
             golden[:, _block_words(start, stop, cap)],
             [reps[i] for i in active],
+            tuple(side[active] for side in forced),
         )
         survivors = []
         for pos, index in enumerate(active):
@@ -338,12 +443,12 @@ def decoder_campaign_vector(
 ) -> ResultSet:
     """Vector counterpart of :func:`repro.faultsim.campaign.decoder_campaign`.
 
-    Bit-identical records to the serial oracle; the whole
-    collapsed fault list is evaluated per cycle window in one NumPy
-    traversal.  ``workers=N`` shards representatives over a process
-    pool; ``chunk=W`` caps the bounded-memory window width, which ramps
-    up from one 64-lane word (:data:`DEFAULT_WINDOW` when unset; results
-    invariant in W).
+    Bit-identical records to the serial oracle; per cycle window the
+    collapsed fault list's terminal faults are computed in bulk and the
+    rest run in one NumPy traversal.  ``workers=N`` shards
+    representatives over a process pool; ``chunk=W`` caps the
+    bounded-memory window width, which ramps up from one 64-lane word
+    (:data:`DEFAULT_WINDOW` when unset; results invariant in W).
     """
     from repro.faultsim.campaign import (
         _driver_result,
@@ -560,6 +665,15 @@ class _VectorSchemeState:
             axis: list(range(len(reps[axis])))
             for axis in ("row", "column")
         }
+        forced = {
+            axis: self.sims[axis].terminal_forces(
+                reps[axis],
+                frozenset(checked.circuit.output_nets[: 1 << checked.n]),
+            )
+            for axis, checked in (
+                ("row", memory.row), ("column", memory.column)
+            )
+        }
         cap, total = self.chunk, len(self.addresses)
         for start, stop in _windows(total, cap):
             if not active["row"] and not active["column"]:
@@ -586,6 +700,7 @@ class _VectorSchemeState:
                 firsts = self._axis_window(
                     axis,
                     [reps[axis][i] for i in active[axis]],
+                    tuple(side[active[axis]] for side in forced[axis]),
                     goldens[axis],
                     goldens[other],
                     mask,
@@ -600,8 +715,9 @@ class _VectorSchemeState:
                 active[axis] = survivors
         return outcomes["row"], outcomes["column"]
 
-    def _axis_window(self, axis, reps, golden, other_golden, mask):
-        """First detection lane (-1: none) per fault in one window.
+    def _axis_window(self, axis, reps, forced, golden, other_golden, mask):
+        """First detection lane (-1: none) per fault in one window
+        (``forced``: :meth:`VectorCircuit.terminal_forces` of ``reps``).
 
         ``detection = axis-checker reject | other-axis fault-free
         reject | parity reject``.  The other-axis verdict is its own
@@ -667,18 +783,17 @@ class _VectorSchemeState:
             axis=1,
         )  # (J, width, W)
 
-        # the faulted axis, a fault batch at a time: each word line j
-        # folds into the violations as it is produced, the ROM columns
-        # are kept for the axis checker
+        # the faulted axis: terminal faults in bulk, every other fault
+        # gate by gate, each word line j folding into the violations as
+        # it is produced; the ROM columns are kept for the axis checker
         sim = self.sims[axis]
         line_of = {net: line for line, net in enumerate(outputs[:num_lines])}
         line_nets = np.asarray(outputs[:num_lines])
-        firsts = []
-        for part in sim.batches(len(reps), words):
-            shape = (len(reps[part]),) + mask.shape
-            violation = np.zeros(
-                (shape[0], width, words), dtype=np.uint64
-            )
+        rom_nets = outputs[num_lines:]
+
+        def dense_rows(batch):
+            shape = (len(batch),) + mask.shape
+            violation = np.zeros((shape[0], width, words), dtype=np.uint64)
             rom: Dict[int, object] = {}
             golden_lines: List[int] = []
 
@@ -695,7 +810,7 @@ class _VectorSchemeState:
                         out=violation,
                     )
 
-            sim.evaluate(golden, reps[part], mask, consume)
+            sim.evaluate(golden, batch, mask, consume)
             if golden_lines:
                 np.bitwise_or(
                     violation,
@@ -706,16 +821,35 @@ class _VectorSchemeState:
                     ),
                     out=violation,
                 )
-            acc = checker.accepts_lanes(
-                [rom[net] for net in outputs[num_lines:]], mask
+            return violation, [rom[net] for net in rom_nets]
+
+        bulk_rows = None
+        if (forced[0] >= 0).any():
+            # a line's violations: its golden lanes on the zero cells it
+            # joins, or all of them on a line stuck at 1
+            lines = np.fromiter(line_of.values(), dtype=np.int64)
+            terms = zmask[lines]
+            terms &= golden[list(line_of)][:, None, :]
+            bulk_rows = _terminal_rows(
+                sim, golden, mask, line_of, rom_nets, terms,
+                lambda row, values: np.where(
+                    values.astype(bool)[:, None, None],
+                    zmask[lines[row]],
+                    np.uint64(0),
+                ),
             )
+        firsts = np.empty(len(reps), dtype=np.int64)
+        for positions, violation, rom in _window_batches(
+            sim, reps, forced, words, dense_rows, bulk_rows
+        ):
+            acc = checker.accepts_lanes(rom, mask)
             parity_acc = memory.parity_checker.accepts_lanes(
                 [~violation[:, b, :] & mask for b in range(width)], mask
             )
-            firsts.append(
-                first_set_lanes(~(acc & other_acc & parity_acc) & mask)
+            firsts[positions] = first_set_lanes(
+                ~(acc & other_acc & parity_acc) & mask
             )
-        return np.concatenate(firsts)
+        return firsts
 
 
 def _vector_scheme_worker(payload):

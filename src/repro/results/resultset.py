@@ -55,7 +55,9 @@ __all__ = [
 FORMAT_NAME = "repro-results"
 FORMAT_VERSION = 1
 
-_COMPACT = {"sort_keys": True, "separators": (",", ":")}
+#: the one encoder of record lines: ``json.dumps`` with keyword
+#: arguments builds a new encoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def fault_id(fault: object) -> str:
@@ -104,10 +106,12 @@ class Provenance:
     key: Optional[str] = None
 
     def to_dict(self) -> dict:
+        """The fields that differ from their defaults (``""`` survives
+        where the default is ``None``)."""
         return {
             k: v
             for k, v in dataclasses.asdict(self).items()
-            if v is not None and v != ""
+            if v != _PROVENANCE_DEFAULTS[k]
         }
 
     @classmethod
@@ -120,6 +124,11 @@ class Provenance:
                 f"known: {sorted(known)}"
             )
         return cls(**data)
+
+
+_PROVENANCE_DEFAULTS = {
+    field.name: field.default for field in dataclasses.fields(Provenance)
+}
 
 
 @dataclass
@@ -390,18 +399,18 @@ class ResultSet:
     # -- serialisation -------------------------------------------------------
 
     def _lines(self) -> Iterator[str]:
-        yield json.dumps(
+        encode = _ENCODER.encode
+        yield encode(
             {
                 "format": FORMAT_NAME,
                 "version": FORMAT_VERSION,
                 "cycles_simulated": self.cycles_simulated,
-            },
-            **_COMPACT,
+            }
         )
         for provenance in self.provenances:
-            yield json.dumps({"provenance": provenance.to_dict()}, **_COMPACT)
+            yield encode({"provenance": provenance.to_dict()})
         for record in self.records:
-            yield json.dumps(record.to_line_dict(), **_COMPACT)
+            yield encode(record.to_line_dict())
 
     def to_jsonl(self) -> str:
         return "\n".join(self._lines()) + "\n"
@@ -514,9 +523,7 @@ class ResultSetWriter:
     def add(self, record: ResultRecord) -> None:
         if self._handle is None:
             raise RuntimeError("writer used outside its context")
-        self._handle.write(
-            json.dumps(record.to_line_dict(), **_COMPACT) + "\n"
-        )
+        self._handle.write(_ENCODER.encode(record.to_line_dict()) + "\n")
         self.count += 1
 
     def __exit__(self, exc_type, exc, tb) -> None:

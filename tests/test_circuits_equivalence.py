@@ -4,11 +4,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.equivalence import (
     collapse_faults,
     representative_faults,
 )
+from repro.circuits.faults import NetStuckAt, enumerate_stuck_at_faults
 from repro.circuits.gates import GateType
 from repro.circuits.netlist import Circuit
 
@@ -135,3 +138,85 @@ class TestBehaviouralEquivalence:
                 for f in cls
             }
             assert len(signatures) == 1
+
+
+# -- restricted lists: the skip is never visible ------------------------------
+
+GATE_TYPES = [
+    GateType.AND, GateType.NAND, GateType.OR, GateType.NOR, GateType.XOR,
+    GateType.XNOR, GateType.NOT, GateType.BUF, GateType.CONST0,
+    GateType.CONST1,
+]
+
+
+@st.composite
+def collapse_cases(draw):
+    """A random netlist (every gate type, duplicate pins, random
+    outputs) and a fault list drawn from its universe: stems only (the
+    lists that may skip the union-find) or stems and pins, with
+    duplicates."""
+    circuit = Circuit("generated")
+    pool = circuit.add_inputs(
+        [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    )
+    for _ in range(draw(st.integers(1, 14))):
+        gate_type = draw(st.sampled_from(GATE_TYPES))
+        if gate_type in (GateType.CONST0, GateType.CONST1):
+            arity = 0
+        elif gate_type in (GateType.NOT, GateType.BUF):
+            arity = 1
+        else:
+            arity = draw(st.integers(2, 4))
+        inputs = draw(st.lists(st.sampled_from(pool), min_size=arity,
+                               max_size=arity))
+        pool.append(circuit.add_gate(gate_type, inputs))
+    for net in draw(st.lists(st.sampled_from(pool), max_size=4)):
+        circuit.mark_output(net)
+    universe = enumerate_stuck_at_faults(circuit, include_pins=True)
+    if draw(st.booleans()):
+        universe = [f for f in universe if isinstance(f, NetStuckAt)]
+    faults = draw(st.lists(st.sampled_from(universe), max_size=24))
+    return circuit, faults
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=collapse_cases())
+def test_restricted_collapse_is_the_full_partition_restricted(case):
+    """``collapse_faults(c, faults)`` (which may skip the union-find)
+    equals the full-universe partition restricted to ``faults``: the
+    same classes, in first-occurrence order, with first-listed
+    representatives, over the distinct keys."""
+    circuit, faults = case
+    full = collapse_faults(circuit)
+    class_of = {
+        fault.key(): index
+        for index, cls in enumerate(full.classes)
+        for fault in cls
+    }
+    expected = {}
+    for fault in faults:
+        members = expected.setdefault(class_of[fault.key()], [])
+        if fault.key() not in [member.key() for member in members]:
+            members.append(fault)
+    got = collapse_faults(circuit, faults)
+    assert [[f.key() for f in cls] for cls in got.classes] == [
+        [f.key() for f in cls] for cls in expected.values()
+    ]
+    assert got.total == len({fault.key() for fault in faults})
+
+
+def test_stem_lists_of_a_checked_decoder_skip_and_pins_still_merge():
+    """The paper's stem-only lists are all singletons; adding the pin
+    faults brings the merges back."""
+    from repro.codes.m_out_of_n import MOutOfNCode
+    from repro.core.mapping import mapping_for_code
+    from repro.faultsim.injector import decoder_fault_list
+    from repro.rom.nor_matrix import CheckedDecoder
+
+    checked = CheckedDecoder(mapping_for_code(MOutOfNCode(2, 5), 5))
+    stems = decoder_fault_list(checked)
+    classes = collapse_faults(checked.circuit, stems + stems[:3])
+    assert classes.num_classes == classes.total == len(stems)
+    with_pins = enumerate_stuck_at_faults(checked.circuit, include_pins=True)
+    merged = collapse_faults(checked.circuit, with_pins)
+    assert merged.num_classes < merged.total == len(with_pins)

@@ -1,6 +1,7 @@
 """The vector scheme campaign's columnar inputs against their behavioural
 references: generated campaigns (golden image, memory faults patched
-into it) against the serial oracle, the golden image against
+into it, structural faults both computed in bulk and run gate by gate)
+against the serial oracle, the golden image against
 ``default_scheme_writer``, and the uniform trace against
 ``random.Random.randrange``."""
 
@@ -13,11 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_event_walks import memory_fault_strategy
 
+from repro.circuits.parallel import VectorCircuit
 from repro.codes.parity import ParityCode
 from repro.core.scheme import SelfCheckingMemory
 from repro.core.selection import select_code
 from repro.faultsim.campaign import default_scheme_writer, scheme_campaign
-from repro.faultsim.injector import decoder_fault_list, sample_faults
+from repro.faultsim.injector import (
+    decoder_fault_list,
+    rom_fault_list,
+    sample_faults,
+)
 from repro.faultsim.vectorsim import default_scheme_image
 from repro.memory.faults import (
     CellStuckAt,
@@ -164,10 +170,25 @@ def scheme_cases(draw):
                 max_size=6,
             )
         ),
-        structural=draw(st.integers(0, 3)),
+        terminal=draw(st.integers(0, 3)),
+        deep=draw(st.integers(0, 3)),
         writer_seed=draw(st.one_of(st.none(), st.integers(0, 99))),
         trace_seed=draw(st.integers(0, 99)),
         cycles=draw(st.integers(1, 96)),
+    )
+
+
+def axis_faults(checked, terminal, deep, seed):
+    """Up to ``terminal`` stem faults the vector engine computes in bulk
+    and ``deep`` ones it runs gate by gate, from the tree and ROM stems
+    of one decoder."""
+    faults = decoder_fault_list(checked) + rom_fault_list(checked)
+    lines = frozenset(checked.circuit.output_nets[: 1 << checked.n])
+    nets, _ = VectorCircuit(checked.circuit).terminal_forces(faults, lines)
+    bulk = [fault for fault, net in zip(faults, nets) if net >= 0]
+    rest = [fault for fault, net in zip(faults, nets) if net < 0]
+    return sample_faults(bulk, terminal, seed=seed) + sample_faults(
+        rest, deep, seed=seed + 1
     )
 
 
@@ -178,11 +199,11 @@ def test_vector_scheme_campaign_equals_serial(case):
     seed = case["writer_seed"]
     probe = build_memory(words, bits, mux)
     kwargs = dict(
-        row_faults=sample_faults(
-            decoder_fault_list(probe.row), case["structural"], seed=1
+        row_faults=axis_faults(
+            probe.row, case["terminal"], case["deep"], seed=1
         ),
-        column_faults=sample_faults(
-            decoder_fault_list(probe.column), case["structural"], seed=2
+        column_faults=axis_faults(
+            probe.column, case["terminal"], case["deep"], seed=3
         ),
         memory_faults=case["memory_faults"],
         writer=None if seed is None else seeded_writer(seed),

@@ -89,6 +89,53 @@ class TestEscapeProbability:
             pndc(3, 9, 0)
         with pytest.raises(ValueError):
             worst_escape_over_blocks(9, 0)
+        for a in (0, -1, -9):
+            with pytest.raises(ValueError, match="a must be >= 1"):
+                worst_escape_over_blocks(a, 10)
+
+    def test_worst_case_escape_is_integer_exact(self):
+        # ceil(2^64 / 3) / 2^64 in integers: a float ceil lands 1.85e-17
+        # below it, and so does every width from 54 up
+        assert escape_probability(64, 3) == Fraction(-(-(2**64) // 3), 2**64)
+        for i in range(1, 80):
+            for a in (3, 7, 9, 2**40 + 1):
+                assert escape_probability(i, a) == Fraction(
+                    -(-(2**i) // a), 2**i
+                )
+
+
+def loop_escapes(a):
+    """The block-width loop the closed form replaced, in integers, for
+    every ``max_width`` 1..64 at once: the running maximum of
+    ``ceil(2^i/a)/2^i`` over the widths with ``2^i > a``, else
+    ``1/2^max_width``."""
+    best, out = None, []
+    for width in range(1, 65):
+        total = 1 << width
+        if total > a:
+            value = Fraction(-(-total // a), total)
+            best = value if best is None or value > best else best
+        out.append(Fraction(1, total) if best is None else best)
+    return out
+
+
+class TestWorstEscapeClosedForm:
+    def test_every_small_a_at_every_width(self):
+        for a in range(1, 10_001):
+            got = [
+                worst_escape_over_blocks(a, width) for width in range(1, 65)
+            ]
+            assert got == loop_escapes(a), a
+
+    def test_powers_of_two_and_neighbours(self):
+        # the float ceil of the old loop got 2^k - 1 wrong for k = 54..62
+        for k in range(1, 63):
+            for a in (2**k - 1, 2**k, 2**k + 1):
+                got = [
+                    worst_escape_over_blocks(a, width)
+                    for width in range(1, 65)
+                ]
+                assert got == loop_escapes(a), a
 
 
 class TestRequiredA:

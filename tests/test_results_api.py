@@ -161,6 +161,30 @@ class TestProvenance:
         with pytest.raises(ValueError, match="unknown Provenance"):
             Provenance.from_dict({"campaign": "x", "bogus": 1})
 
+    def test_empty_strings_survive_the_round_trip(self):
+        # a field whose default is None keeps "" (it used to read back
+        # as None); fields at their defaults are still left out
+        provenance = Provenance(campaign="decoder", workload="", key="")
+        assert provenance.to_dict() == {
+            "campaign": "decoder", "workload": "", "key": "",
+        }
+        assert Provenance().to_dict() == {}
+        artifact = ResultSet(
+            [ResultRecord("f", "sa1", 3, 1)], (provenance,), 5
+        )
+        restored = ResultSet.from_jsonl(artifact.to_jsonl())
+        assert restored.provenances == (provenance,)
+        assert restored == artifact
+
+    def test_lines_are_compact_sorted_json(self):
+        # the one reused encoder writes what json.dumps writes
+        artifact = run_decoder_campaign()
+        lines = artifact.to_jsonl().splitlines()
+        assert lines == [
+            json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+            for line in lines
+        ]
+
     def test_spec_stamped_through_design_flow(self):
         from repro import DesignEngine, DesignSpec
 

@@ -309,9 +309,9 @@ class TestDecoderBitIdentity:
         lanes = []
         evaluate = vectorsim._decoder_window
 
-        def spy(checked, sim, checker, window, golden, reps):
+        def spy(checked, sim, checker, window, *rest):
             lanes.append(len(window))
-            return evaluate(checked, sim, checker, window, golden, reps)
+            return evaluate(checked, sim, checker, window, *rest)
 
         monkeypatch.setattr(vectorsim, "_decoder_window", spy)
         vector = decoder_campaign(
@@ -530,10 +530,11 @@ class TestSchemeBitIdentity:
         calls = []
         evaluate = vectorsim._VectorSchemeState._axis_window
 
-        def spy(self, axis, reps, golden, other_golden, mask):
+        def spy(self, axis, *rest):
+            mask = rest[-1]
             lanes = parallel.unpack_lanes(mask, 64 * len(mask)).sum()
             calls.append((axis, int(lanes)))
-            return evaluate(self, axis, reps, golden, other_golden, mask)
+            return evaluate(self, axis, *rest)
 
         monkeypatch.setattr(
             vectorsim._VectorSchemeState, "_axis_window", spy
