@@ -7,6 +7,12 @@ requirement grid, ``registry`` lists the pluggable families, and the ten
 experiment regenerators are generated from one table instead of ten
 copy-pasted handlers.  Everything runs offline — no network, no data
 files.
+
+Commands are one table, :data:`COMMANDS`: a name, a help line and a
+builder per command.  :func:`build_parser` registers each as a bare
+stub, and a builder fills in its parser only when argparse selects that
+command, so ``repro results export`` builds one parser, not all of
+them.  Builders and handlers import what only their own command needs.
 """
 
 from __future__ import annotations
@@ -20,15 +26,18 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
 
 from repro import __version__
 from repro.circuits.engines import ENGINES
-from repro.core.selection import SelectionPolicy, select_code
-from repro.design.spec import CHECKER_STYLES, DesignSpec
-from repro.memory.organization import PAPER_ORGS, MemoryOrganization, paper_org
 
-__all__ = ["main", "build_parser", "EXPERIMENTS"]
+if TYPE_CHECKING:
+    from repro.memory.organization import MemoryOrganization
+
+__all__ = ["main", "build_parser", "COMMANDS", "EXPERIMENTS"]
+
+#: fills in one command's stub parser
+Builder = Callable[[argparse.ArgumentParser], None]
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -55,13 +64,17 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 ENGINE_CHOICES = ENGINES
 
 
+def _check_workers(workers: Optional[int]) -> None:
+    if workers is not None and workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
+
+
 def _validate_engine_args(args: argparse.Namespace) -> None:
     """--workers only applies to the vector engine; refuse the combo
     (and nonsensical counts) rather than silently running
     single-process."""
     workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers}")
+    _check_workers(workers)
     if getattr(args, "engine", "vector") == "serial" and workers is not None:
         raise ValueError(
             "--workers requires the vector engine (drop --engine serial)"
@@ -87,6 +100,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_policy_option(parser: argparse.ArgumentParser) -> None:
+    from repro.core.selection import SelectionPolicy
+
     parser.add_argument(
         "--policy",
         choices=[p.value for p in SelectionPolicy],
@@ -131,6 +146,8 @@ def _add_store_options(
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    from repro.core.selection import SelectionPolicy, select_code
+
     policy = SelectionPolicy(args.policy)
     selection = select_code(args.cycles, args.pndc, policy=policy)
     if args.json:
@@ -140,8 +157,17 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
+def _build_select(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cycles", "-c", type=int, required=True)
+    parser.add_argument("--pndc", "-p", type=float, required=True)
+    _add_policy_option(parser)
+    _add_output_options(parser)
+    parser.set_defaults(func=_cmd_select)
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.design.engine import DesignEngine
+    from repro.design.spec import DesignSpec
 
     _validate_engine_args(args)
     spec = DesignSpec(
@@ -170,10 +196,55 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _build_report(parser: argparse.ArgumentParser) -> None:
+    from repro.design.spec import CHECKER_STYLES
+    from repro.scenarios import NAMED_WORKLOADS
+
+    parser.add_argument("--words", type=int, required=True)
+    parser.add_argument("--bits", type=int, required=True)
+    parser.add_argument("--mux", type=int, default=8)
+    parser.add_argument("--cycles", "-c", type=int, required=True)
+    parser.add_argument("--pndc", "-p", type=float, required=True)
+    _add_policy_option(parser)
+    parser.add_argument(
+        "--shared-column-code",
+        action="store_true",
+        help="use the row code on the column decoder (tables' convention) "
+        "instead of a zero-latency column mapping",
+    )
+    parser.add_argument(
+        "--checker-style", choices=CHECKER_STYLES, default="behavioural"
+    )
+    parser.add_argument("--decoder-style", default="tree")
+    parser.add_argument(
+        "--empirical",
+        action="store_true",
+        help="attach a measured fault-injection summary (campaign on the "
+        "row decoder)",
+    )
+    parser.add_argument(
+        "--empirical-cycles", type=int, default=256, metavar="CYCLES"
+    )
+    parser.add_argument(
+        "--workload",
+        choices=NAMED_WORKLOADS,
+        default=None,
+        help="traffic family driving the --empirical measurement "
+        "(default: uniform; 'march' is one full March C- sweep and "
+        "ignores --empirical-cycles)",
+    )
+    _add_engine_options(parser)
+    _add_store_options(parser)
+    _add_output_options(parser)
+    parser.set_defaults(func=_cmd_report)
+
+
 def _parse_org(text: str) -> MemoryOrganization:
     """An organisation: a paper label ('16x2K') or 'WORDSxBITSxMUX'."""
+    import repro.memory.organization as organization
+
     try:
-        return paper_org(text)
+        return organization.paper_org(text)
     except KeyError:
         pass
     parts = text.lower().split("x")
@@ -195,17 +266,21 @@ def _parse_org(text: str) -> MemoryOrganization:
                     f"the numeric form is WORDSxBITS[xMUX] (did you "
                     f"mean '{bits}x{words}'?)"
                 )
-            return MemoryOrganization(
+            return organization.MemoryOrganization(
                 words=words, bits=bits, column_mux=mux
             )
     raise argparse.ArgumentTypeError(
         f"organisation {text!r} is neither a paper label "
-        f"({[o.label() for o in PAPER_ORGS]}) nor WORDSxBITS[xMUX]"
+        f"({[o.label() for o in organization.PAPER_ORGS]}) nor "
+        f"WORDSxBITS[xMUX]"
     )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_workers(args.workers)
     from repro.design.engine import DesignEngine
+    from repro.design.spec import DesignSpec
+    from repro.memory.organization import PAPER_ORGS
 
     organizations = args.org or list(PAPER_ORGS)
     requirements = [
@@ -252,6 +327,37 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _build_sweep(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--org",
+        action="append",
+        type=_parse_org,
+        metavar="LABEL|WxBxM",
+        help="memory organisation (repeatable); default: the three "
+        "paper RAMs",
+    )
+    parser.add_argument(
+        "--cycles", "-c", action="append", type=int, required=True,
+        help="latency budget in cycles (repeatable)",
+    )
+    parser.add_argument(
+        "--pndc", "-p", action="append", type=float, required=True,
+        help="escape-probability target (repeatable)",
+    )
+    _add_policy_option(parser)
+    parser.add_argument("--shared-column-code", action="store_true")
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="parallel evaluation workers (default: serial)",
+    )
+    parser.add_argument(
+        "--executor", choices=("thread", "process"), default="thread"
+    )
+    _add_store_options(parser)
+    _add_output_options(parser)
+    parser.set_defaults(func=_cmd_sweep)
+
+
 def _cmd_registry(args: argparse.Namespace) -> int:
     from repro.design.registry import CHECKERS, CODES, DECODERS, MAPPINGS
 
@@ -272,6 +378,11 @@ def _cmd_registry(args: argparse.Namespace) -> int:
     return 0
 
 
+def _build_registry(parser: argparse.ArgumentParser) -> None:
+    _add_output_options(parser)
+    parser.set_defaults(func=_cmd_registry)
+
+
 # -- static analysis: `repro lint` -------------------------------------------
 
 
@@ -280,6 +391,8 @@ def _resolve_lint_target(args: argparse.Namespace):
     DesignSpec JSON file, a built-in suite name, or an organisation
     label/WORDSxBITS[xMUX] (turned into a DesignSpec with the
     -c/--pndc requirement)."""
+    from repro.design.spec import DesignSpec
+
     text = args.target
     if os.path.isfile(text):
         with open(text) as handle:
@@ -376,6 +489,56 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code(strict=args.strict)
 
 
+def _build_lint(parser: argparse.ArgumentParser) -> None:
+    parser.description = (
+        "Statically analyze a design or suite without simulating a "
+        "cycle: netlist well-formedness, TSC checker proofs "
+        "(code-disjoint / self-testing / fault-secure), collapse "
+        "soundness, and suite-spec sanity.  Exit code 0 means no "
+        "error findings (with --strict: no findings at all)."
+    )
+    parser.add_argument(
+        "target",
+        nargs="?",
+        default=None,
+        help="SuiteSpec or DesignSpec JSON file, built-in suite name, "
+        "paper label ('16x2K') or WORDSxBITS[xMUX]",
+    )
+    parser.add_argument(
+        "--cycles", "-c", type=int, default=10,
+        help="latency budget for organisation targets (default 10)",
+    )
+    parser.add_argument(
+        "--pndc", "-p", type=float, default=1e-9,
+        help="escape-probability target for organisation targets "
+        "(default 1e-9)",
+    )
+    parser.add_argument(
+        "--rules",
+        action="append",
+        metavar="ID[,ID...]",
+        help="run only these rule ids (repeatable, comma-separable)",
+    )
+    parser.add_argument(
+        "--skip",
+        action="append",
+        metavar="ID[,ID...]",
+        help="exclude these rule ids (repeatable, comma-separable)",
+    )
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="fail on warnings and info findings too",
+    )
+    parser.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="list the registered rules and exit",
+    )
+    _add_output_options(parser)
+    parser.set_defaults(func=_cmd_lint)
+
+
 # -- trend analytics: `repro analytics regress|report` -----------------------
 
 
@@ -448,6 +611,98 @@ def _cmd_analytics_report(args: argparse.Namespace) -> int:
 
 #: what `repro analytics` reads when --history is not given
 DEFAULT_HISTORY_GLOB = "BENCH_*.history.jsonl"
+
+
+def _build_analytics(parser: argparse.ArgumentParser) -> None:
+    analytics_sub = parser.add_subparsers(
+        dest="analytics_command", required=True
+    )
+    regress = analytics_sub.add_parser(
+        "regress",
+        help="flag metric erosion vs a windowed baseline "
+        "(exit 2 on any hard regression)",
+        description=(
+            "Compare every bench history's last entry against a "
+            "median-of-trailing-window baseline.  Ratio metrics "
+            "(speedup, coverage) fail hard; raw wall seconds are "
+            "warn-only annotations (shared runners are noisy).  "
+            "Exit 0 clean, 2 on any hard regression — the `repro "
+            "store verify` contract."
+        ),
+    )
+    report_cmd = analytics_sub.add_parser(
+        "report",
+        help="combined JSON/HTML trend report over histories, a "
+        "store, or a running service",
+        description=(
+            "Render the read side in one artifact: history "
+            "sparklines, regression findings, and coverage/latency "
+            "trends over store artifacts grouped by provenance "
+            "(campaign family, workload label, engine policy).  "
+            "--out writes the self-contained HTML page; --json the "
+            "machine payload."
+        ),
+    )
+    for sub_parser in (regress, report_cmd):
+        sub_parser.add_argument(
+            "--history",
+            action="append",
+            metavar="GLOB",
+            help="history trajectory glob (repeatable; default "
+            f"{DEFAULT_HISTORY_GLOB!r})",
+        )
+        sub_parser.add_argument(
+            "--window",
+            type=int,
+            default=5,
+            metavar="K",
+            help="baseline = median of the K entries before the "
+            "last (default 5)",
+        )
+        sub_parser.add_argument(
+            "--tolerance",
+            type=float,
+            default=None,
+            metavar="PCT",
+            help="override every metric's tolerance band, percent "
+            "(default: 25 for hard ratio metrics, 50 for warn-only "
+            "wall metrics)",
+        )
+        _add_output_options(sub_parser)
+    regress.add_argument(
+        "--only",
+        action="append",
+        metavar="BENCH[,BENCH...]",
+        help="gate only these benches (repeatable, comma-separable; "
+        "unknown names fail fast)",
+    )
+    regress.add_argument(
+        "--skip",
+        action="append",
+        metavar="BENCH[,BENCH...]",
+        help="exclude these benches (repeatable, comma-separable)",
+    )
+    regress.add_argument(
+        "--verbose",
+        action="store_true",
+        help="also list the series skipped for lack of a baseline",
+    )
+    regress.set_defaults(func=_cmd_analytics_regress)
+    report_cmd.add_argument(
+        "--store",
+        metavar="PATH",
+        default=None,
+        help="result store to trend over, grouped by provenance "
+        "(optional)",
+    )
+    report_cmd.add_argument(
+        "--url",
+        metavar="URL",
+        default=None,
+        help="query a running `repro serve` for its artifacts "
+        "instead of (or besides) a local store",
+    )
+    report_cmd.set_defaults(func=_cmd_analytics_report)
 
 
 # -- artifact-store inspection: `repro results ls|show|diff|export` ----------
@@ -580,6 +835,44 @@ def _cmd_results_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def _build_results(parser: argparse.ArgumentParser) -> None:
+    results_sub = parser.add_subparsers(
+        dest="results_command", required=True
+    )
+    results_ls = results_sub.add_parser(
+        "ls", help="list stored campaign result sets"
+    )
+    results_ls.set_defaults(func=_cmd_results_ls)
+    results_show = results_sub.add_parser(
+        "show", help="summary + provenance of one stored result set"
+    )
+    results_show.add_argument("key", help="store key (prefix accepted)")
+    results_show.set_defaults(func=_cmd_results_show)
+    results_diff = results_sub.add_parser(
+        "diff",
+        help="record-matched comparison of two stored result sets "
+        "(exit code 2 when outcomes differ)",
+    )
+    results_diff.add_argument("left", help="store key (prefix accepted)")
+    results_diff.add_argument("right", help="store key (prefix accepted)")
+    results_diff.set_defaults(func=_cmd_results_diff)
+    results_export = results_sub.add_parser(
+        "export", help="write one stored result set as JSONL"
+    )
+    results_export.add_argument("key", help="store key (prefix accepted)")
+    results_export.set_defaults(func=_cmd_results_export)
+    for sub_parser in (
+        results_ls, results_show, results_diff, results_export
+    ):
+        _add_store_options(sub_parser, required_default=True)
+    for sub_parser in (results_ls, results_show, results_diff):
+        _add_output_options(sub_parser)
+    # export is inherently JSONL — only the output path applies
+    results_export.add_argument(
+        "--out", metavar="PATH", help="write the JSONL to a file"
+    )
+
+
 # -- store lifecycle: `repro store stats|verify` -----------------------------
 
 
@@ -623,6 +916,22 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
     return 0 if outcome["ok"] else 2
 
 
+def _build_store(parser: argparse.ArgumentParser) -> None:
+    store_sub = parser.add_subparsers(dest="store_command", required=True)
+    store_stats = store_sub.add_parser(
+        "stats", help="entry counts and on-disk footprint"
+    )
+    store_stats.set_defaults(func=_cmd_store_stats)
+    store_verify = store_sub.add_parser(
+        "verify",
+        help="sha256-verify every stored artifact (exit 2 on failure)",
+    )
+    store_verify.set_defaults(func=_cmd_store_verify)
+    for sub_parser in (store_stats, store_verify):
+        _add_store_options(sub_parser, required_default=True)
+        _add_output_options(sub_parser)
+
+
 # -- the campaign service: `repro serve|submit|jobs|fetch` -------------------
 
 
@@ -647,8 +956,7 @@ def _add_url_option(parser: argparse.ArgumentParser) -> None:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import CampaignService, make_server
 
-    if args.workers is not None and args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    _check_workers(args.workers)
     service = CampaignService(
         store=args.store, workers=args.workers or 2, resume=True
     )
@@ -686,6 +994,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service.close()
         print("repro service stopped", file=sys.stderr)
     return 0
+
+
+def _build_serve(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port", type=int, default=8032,
+        help="listen port (0 binds an ephemeral port)",
+    )
+    parser.add_argument(
+        "--store",
+        metavar="PATH",
+        default=_default_store(),
+        help="result store the service executes against (job table "
+        "and artifacts live here; defaults to $REPRO_STORE or "
+        ".repro-store)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="bounded job worker pool (default: 2)",
+    )
+    parser.add_argument(
+        "--quiet", action="store_true",
+        help="suppress per-request log lines on stderr",
+    )
+    parser.set_defaults(func=_cmd_serve)
 
 
 def _job_progress(stream) -> Callable[[dict], None]:
@@ -753,6 +1086,54 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0 if job["state"] == "done" else 1
 
 
+def _build_submit(parser: argparse.ArgumentParser) -> None:
+    from repro.families import FAMILIES
+
+    parser.add_argument(
+        "suite", help="built-in suite name or SuiteSpec JSON file"
+    )
+    _add_url_option(parser)
+    parser.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="per-job cell pool on the server",
+    )
+    parser.add_argument(
+        "--only",
+        choices=FAMILIES,
+        default=None,
+        help="run only the cells of one campaign family",
+    )
+    parser.add_argument(
+        "--engine",
+        dest="engine_override",
+        choices=ENGINE_CHOICES,
+        default=None,
+        help="override every cell's policy to this campaign engine",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="re-run every cell but still refresh the store entries",
+    )
+    parser.add_argument(
+        "--wait",
+        action="store_true",
+        help="long-poll the job to a terminal state, streaming [i/N] "
+        "progress on stderr as cells complete (exit 1 unless it ends "
+        "'done')",
+    )
+    parser.add_argument(
+        "--timeout", type=float, default=600.0, metavar="SECONDS",
+        help="--wait deadline (default: 600)",
+    )
+    parser.add_argument(
+        "--quiet", action="store_true",
+        help="suppress the --wait progress lines",
+    )
+    _add_output_options(parser)
+    parser.set_defaults(func=_cmd_submit)
+
+
 def _cmd_jobs(args: argparse.Namespace) -> int:
     from repro.service import ServiceClient
 
@@ -810,6 +1191,15 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _build_jobs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "job_id", nargs="?", default=None, help="job id (omit to list)"
+    )
+    _add_url_option(parser)
+    _add_output_options(parser)
+    parser.set_defaults(func=_cmd_jobs)
+
+
 def _cmd_fetch(args: argparse.Namespace) -> int:
     from repro.service import ServiceClient
 
@@ -825,6 +1215,18 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
         return 0
     _emit(args, json.dumps(client.result(args.key), indent=2))
     return 0
+
+
+def _build_fetch(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("key", help="store key (prefix accepted)")
+    parser.add_argument(
+        "--records",
+        action="store_true",
+        help="the raw JSONL records instead of the metadata summary",
+    )
+    _add_url_option(parser)
+    _add_output_options(parser)
+    parser.set_defaults(func=_cmd_fetch)
 
 
 # -- campaign suites: `repro suite run|ls|show` ------------------------------
@@ -933,6 +1335,72 @@ def _cmd_suite_show(args: argparse.Namespace) -> int:
     return 0
 
 
+def _build_suite(parser: argparse.ArgumentParser) -> None:
+    from repro.families import FAMILIES
+
+    suite_sub = parser.add_subparsers(dest="suite_command", required=True)
+    suite_run = suite_sub.add_parser(
+        "run",
+        help="run a suite (built-in name or SuiteSpec JSON file); "
+        "completed cells resume from the store",
+    )
+    suite_run.add_argument(
+        "suite", help="built-in suite name (see `suite ls`) or spec file"
+    )
+    suite_run.add_argument(
+        "--engine",
+        dest="engine_override",
+        choices=ENGINE_CHOICES,
+        default=None,
+        help="override every cell's policy to this campaign engine",
+    )
+    suite_run.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="schedule cells over a bounded N-process pool",
+    )
+    suite_run.add_argument(
+        "--only",
+        choices=FAMILIES,
+        default=None,
+        help="run only the cells of one campaign family",
+    )
+    suite_run.add_argument(
+        "--store",
+        metavar="PATH",
+        default=_default_store(),
+        help="result store backing the suite (resume-by-default; "
+        "defaults to $REPRO_STORE or .repro-store)",
+    )
+    suite_run.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="re-run every cell but still refresh the store entries",
+    )
+    suite_run.add_argument(
+        "--quiet",
+        action="store_true",
+        help="suppress the per-cell progress lines on stderr",
+    )
+    _add_output_options(suite_run)
+    suite_run.set_defaults(func=_cmd_suite_run)
+    suite_ls = suite_sub.add_parser(
+        "ls", help="list the built-in suites"
+    )
+    _add_output_options(suite_ls)
+    suite_ls.set_defaults(func=_cmd_suite_ls)
+    suite_show = suite_sub.add_parser(
+        "show", help="expand a suite into its concrete campaign cells"
+    )
+    suite_show.add_argument(
+        "suite", help="built-in suite name or spec file"
+    )
+    _add_output_options(suite_show)
+    suite_show.set_defaults(func=_cmd_suite_show)
+
+
 # -- experiment regenerators (one table, not ten handlers) -------------------
 
 
@@ -951,6 +1419,13 @@ class ExperimentCommand:
     #: campaign-driven commands grow --engine and --workers and report
     #: wall time + faults/sec under --json
     engine_aware: bool = False
+
+    def build(self, parser: argparse.ArgumentParser) -> None:
+        _add_output_options(parser)
+        if self.engine_aware:
+            _add_engine_options(parser)
+            _add_store_options(parser)
+        parser.set_defaults(func=self.run)
 
     def run(self, args: argparse.Namespace) -> int:
         module = importlib.import_module(self.module)
@@ -1102,7 +1577,97 @@ trend analytics (1.9):
 """
 
 
+class Command(NamedTuple):
+    """One ``repro`` command: its name, its line in ``repro --help``
+    and the builder that fills in its parser (an
+    :class:`ExperimentCommand` has the same three)."""
+
+    name: str
+    help: str
+    build: Builder
+
+
+#: every command, in ``repro --help`` order; a command with nested
+#: commands (``results``, ``suite``, ``store``, ``analytics``) builds
+#: them all in its own builder
+COMMANDS = (
+    Command("select", "size an unordered code from (c, Pndc)", _build_select),
+    Command(
+        "report", "full design report for one memory + requirement",
+        _build_report,
+    ),
+    Command(
+        "sweep", "batch design reports over organisations x requirements",
+        _build_sweep,
+    ),
+    Command(
+        "results", "inspect the content-addressed campaign result store",
+        _build_results,
+    ),
+    Command(
+        "suite", "declarative campaign suites with store-backed resume",
+        _build_suite,
+    ),
+    Command(
+        "store",
+        "result-store lifecycle: occupancy stats, artifact verification",
+        _build_store,
+    ),
+    Command(
+        "serve",
+        "run the campaign service: submit suites as async jobs over "
+        "HTTP/JSON",
+        _build_serve,
+    ),
+    Command(
+        "submit", "submit a suite to a running service as an async job",
+        _build_submit,
+    ),
+    Command(
+        "jobs", "list a running service's jobs (or show one)", _build_jobs
+    ),
+    Command(
+        "fetch", "fetch a stored result from a running service by store key",
+        _build_fetch,
+    ),
+    Command(
+        "analytics", "bench/store trend analytics and the CI regression gate",
+        _build_analytics,
+    ),
+    Command(
+        "registry", "list pluggable codes/checkers/mappings/decoders",
+        _build_registry,
+    ),
+    Command(
+        "lint", "static design linter & TSC property prover", _build_lint
+    ),
+) + EXPERIMENTS
+
+
+class _LazyCommands(argparse._SubParsersAction):
+    """Subcommands registered as bare stubs.  A stub's builder runs the
+    first time argparse selects that command, before the stub parses
+    the rest of the command line, so parsing one command builds its
+    parser and no other."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._builders: Dict[str, Builder] = {}
+
+    def add_stub(self, command: Command | ExperimentCommand) -> None:
+        self.add_parser(command.name, help=command.help)
+        self._builders[command.name] = command.build
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        build = self._builders.pop(values[0], None)
+        if build is not None:
+            build(self._name_parser_map[values[0]])
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser.  Every command is a stub until argparse
+    selects it, so a command's actions are not there before parsing."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -1115,480 +1680,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"repro {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    select = sub.add_parser(
-        "select", help="size an unordered code from (c, Pndc)"
-    )
-    select.add_argument("--cycles", "-c", type=int, required=True)
-    select.add_argument("--pndc", "-p", type=float, required=True)
-    _add_policy_option(select)
-    _add_output_options(select)
-    select.set_defaults(func=_cmd_select)
-
-    report = sub.add_parser(
-        "report", help="full design report for one memory + requirement"
-    )
-    report.add_argument("--words", type=int, required=True)
-    report.add_argument("--bits", type=int, required=True)
-    report.add_argument("--mux", type=int, default=8)
-    report.add_argument("--cycles", "-c", type=int, required=True)
-    report.add_argument("--pndc", "-p", type=float, required=True)
-    _add_policy_option(report)
-    report.add_argument(
-        "--shared-column-code",
-        action="store_true",
-        help="use the row code on the column decoder (tables' convention) "
-        "instead of a zero-latency column mapping",
-    )
-    report.add_argument(
-        "--checker-style", choices=CHECKER_STYLES, default="behavioural"
-    )
-    report.add_argument("--decoder-style", default="tree")
-    report.add_argument(
-        "--empirical",
-        action="store_true",
-        help="attach a measured fault-injection summary (campaign on the "
-        "row decoder)",
-    )
-    report.add_argument(
-        "--empirical-cycles", type=int, default=256, metavar="CYCLES"
-    )
-    from repro.scenarios import NAMED_WORKLOADS
-
-    report.add_argument(
-        "--workload",
-        choices=NAMED_WORKLOADS,
-        default=None,
-        help="traffic family driving the --empirical measurement "
-        "(default: uniform; 'march' is one full March C- sweep and "
-        "ignores --empirical-cycles)",
-    )
-    _add_engine_options(report)
-    _add_store_options(report)
-    _add_output_options(report)
-    report.set_defaults(func=_cmd_report)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="batch design reports over organisations x requirements",
-    )
-    sweep.add_argument(
-        "--org",
-        action="append",
-        type=_parse_org,
-        metavar="LABEL|WxBxM",
-        help="memory organisation (repeatable); default: the three "
-        "paper RAMs",
-    )
-    sweep.add_argument(
-        "--cycles", "-c", action="append", type=int, required=True,
-        help="latency budget in cycles (repeatable)",
-    )
-    sweep.add_argument(
-        "--pndc", "-p", action="append", type=float, required=True,
-        help="escape-probability target (repeatable)",
-    )
-    _add_policy_option(sweep)
-    sweep.add_argument("--shared-column-code", action="store_true")
-    sweep.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel evaluation workers (default: serial)",
-    )
-    sweep.add_argument(
-        "--executor", choices=("thread", "process"), default="thread"
-    )
-    _add_store_options(sweep)
-    _add_output_options(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
-
-    results = sub.add_parser(
-        "results",
-        help="inspect the content-addressed campaign result store",
-    )
-    results_sub = results.add_subparsers(
-        dest="results_command", required=True
-    )
-    results_ls = results_sub.add_parser(
-        "ls", help="list stored campaign result sets"
-    )
-    results_ls.set_defaults(func=_cmd_results_ls)
-    results_show = results_sub.add_parser(
-        "show", help="summary + provenance of one stored result set"
-    )
-    results_show.add_argument("key", help="store key (prefix accepted)")
-    results_show.set_defaults(func=_cmd_results_show)
-    results_diff = results_sub.add_parser(
-        "diff",
-        help="record-matched comparison of two stored result sets "
-        "(exit code 2 when outcomes differ)",
-    )
-    results_diff.add_argument("left", help="store key (prefix accepted)")
-    results_diff.add_argument("right", help="store key (prefix accepted)")
-    results_diff.set_defaults(func=_cmd_results_diff)
-    results_export = results_sub.add_parser(
-        "export", help="write one stored result set as JSONL"
-    )
-    results_export.add_argument("key", help="store key (prefix accepted)")
-    results_export.set_defaults(func=_cmd_results_export)
-    for sub_parser in (
-        results_ls, results_show, results_diff, results_export
-    ):
-        _add_store_options(sub_parser, required_default=True)
-    for sub_parser in (results_ls, results_show, results_diff):
-        _add_output_options(sub_parser)
-    # export is inherently JSONL — only the output path applies
-    results_export.add_argument(
-        "--out", metavar="PATH", help="write the JSONL to a file"
-    )
-
-    suite = sub.add_parser(
-        "suite",
-        help="declarative campaign suites with store-backed resume",
-    )
-    suite_sub = suite.add_subparsers(dest="suite_command", required=True)
-    suite_run = suite_sub.add_parser(
-        "run",
-        help="run a suite (built-in name or SuiteSpec JSON file); "
-        "completed cells resume from the store",
-    )
-    suite_run.add_argument(
-        "suite", help="built-in suite name (see `suite ls`) or spec file"
-    )
-    suite_run.add_argument(
-        "--engine",
-        dest="engine_override",
-        choices=ENGINE_CHOICES,
-        default=None,
-        help="override every cell's policy to this campaign engine",
-    )
-    suite_run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="schedule cells over a bounded N-process pool",
-    )
-    from repro.suite.spec import FAMILIES
-
-    suite_run.add_argument(
-        "--only",
-        choices=FAMILIES,
-        default=None,
-        help="run only the cells of one campaign family",
-    )
-    suite_run.add_argument(
-        "--store",
-        metavar="PATH",
-        default=_default_store(),
-        help="result store backing the suite (resume-by-default; "
-        "defaults to $REPRO_STORE or .repro-store)",
-    )
-    suite_run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-run every cell but still refresh the store entries",
-    )
-    suite_run.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress the per-cell progress lines on stderr",
-    )
-    _add_output_options(suite_run)
-    suite_run.set_defaults(func=_cmd_suite_run)
-    suite_ls = suite_sub.add_parser(
-        "ls", help="list the built-in suites"
-    )
-    _add_output_options(suite_ls)
-    suite_ls.set_defaults(func=_cmd_suite_ls)
-    suite_show = suite_sub.add_parser(
-        "show", help="expand a suite into its concrete campaign cells"
-    )
-    suite_show.add_argument(
-        "suite", help="built-in suite name or spec file"
-    )
-    _add_output_options(suite_show)
-    suite_show.set_defaults(func=_cmd_suite_show)
-
-    store = sub.add_parser(
-        "store",
-        help="result-store lifecycle: occupancy stats, artifact "
-        "verification",
-    )
-    store_sub = store.add_subparsers(dest="store_command", required=True)
-    store_stats = store_sub.add_parser(
-        "stats", help="entry counts and on-disk footprint"
-    )
-    store_stats.set_defaults(func=_cmd_store_stats)
-    store_verify = store_sub.add_parser(
-        "verify",
-        help="sha256-verify every stored artifact (exit 2 on failure)",
-    )
-    store_verify.set_defaults(func=_cmd_store_verify)
-    for sub_parser in (store_stats, store_verify):
-        _add_store_options(sub_parser, required_default=True)
-        _add_output_options(sub_parser)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the campaign service: submit suites as async jobs "
-        "over HTTP/JSON",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=8032,
-        help="listen port (0 binds an ephemeral port)",
-    )
-    serve.add_argument(
-        "--store",
-        metavar="PATH",
-        default=_default_store(),
-        help="result store the service executes against (job table "
-        "and artifacts live here; defaults to $REPRO_STORE or "
-        ".repro-store)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="bounded job worker pool (default: 2)",
-    )
-    serve.add_argument(
-        "--quiet", action="store_true",
-        help="suppress per-request log lines on stderr",
-    )
-    serve.set_defaults(func=_cmd_serve)
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit a suite to a running service as an async job",
-    )
-    submit.add_argument(
-        "suite", help="built-in suite name or SuiteSpec JSON file"
-    )
-    _add_url_option(submit)
-    submit.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="per-job cell pool on the server",
-    )
-    submit.add_argument(
-        "--only",
-        choices=FAMILIES,
-        default=None,
-        help="run only the cells of one campaign family",
-    )
-    submit.add_argument(
-        "--engine",
-        dest="engine_override",
-        choices=ENGINE_CHOICES,
-        default=None,
-        help="override every cell's policy to this campaign engine",
-    )
-    submit.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-run every cell but still refresh the store entries",
-    )
-    submit.add_argument(
-        "--wait",
-        action="store_true",
-        help="long-poll the job to a terminal state, streaming [i/N] "
-        "progress on stderr as cells complete (exit 1 unless it ends "
-        "'done')",
-    )
-    submit.add_argument(
-        "--timeout", type=float, default=600.0, metavar="SECONDS",
-        help="--wait deadline (default: 600)",
-    )
-    submit.add_argument(
-        "--quiet", action="store_true",
-        help="suppress the --wait progress lines",
-    )
-    _add_output_options(submit)
-    submit.set_defaults(func=_cmd_submit)
-
-    jobs = sub.add_parser(
-        "jobs", help="list a running service's jobs (or show one)"
-    )
-    jobs.add_argument(
-        "job_id", nargs="?", default=None, help="job id (omit to list)"
-    )
-    _add_url_option(jobs)
-    _add_output_options(jobs)
-    jobs.set_defaults(func=_cmd_jobs)
-
-    fetch = sub.add_parser(
-        "fetch",
-        help="fetch a stored result from a running service by store key",
-    )
-    fetch.add_argument("key", help="store key (prefix accepted)")
-    fetch.add_argument(
-        "--records",
-        action="store_true",
-        help="the raw JSONL records instead of the metadata summary",
-    )
-    _add_url_option(fetch)
-    _add_output_options(fetch)
-    fetch.set_defaults(func=_cmd_fetch)
-
-    analytics = sub.add_parser(
-        "analytics",
-        help="bench/store trend analytics and the CI regression gate",
-    )
-    analytics_sub = analytics.add_subparsers(
-        dest="analytics_command", required=True
-    )
-    regress = analytics_sub.add_parser(
-        "regress",
-        help="flag metric erosion vs a windowed baseline "
-        "(exit 2 on any hard regression)",
-        description=(
-            "Compare every bench history's last entry against a "
-            "median-of-trailing-window baseline.  Ratio metrics "
-            "(speedup, coverage) fail hard; raw wall seconds are "
-            "warn-only annotations (shared runners are noisy).  "
-            "Exit 0 clean, 2 on any hard regression — the `repro "
-            "store verify` contract."
-        ),
-    )
-    report_cmd = analytics_sub.add_parser(
-        "report",
-        help="combined JSON/HTML trend report over histories, a "
-        "store, or a running service",
-        description=(
-            "Render the read side in one artifact: history "
-            "sparklines, regression findings, and coverage/latency "
-            "trends over store artifacts grouped by provenance "
-            "(campaign family, workload label, engine policy).  "
-            "--out writes the self-contained HTML page; --json the "
-            "machine payload."
-        ),
-    )
-    for sub_parser in (regress, report_cmd):
-        sub_parser.add_argument(
-            "--history",
-            action="append",
-            metavar="GLOB",
-            help="history trajectory glob (repeatable; default "
-            f"{DEFAULT_HISTORY_GLOB!r})",
-        )
-        sub_parser.add_argument(
-            "--window",
-            type=int,
-            default=5,
-            metavar="K",
-            help="baseline = median of the K entries before the "
-            "last (default 5)",
-        )
-        sub_parser.add_argument(
-            "--tolerance",
-            type=float,
-            default=None,
-            metavar="PCT",
-            help="override every metric's tolerance band, percent "
-            "(default: 25 for hard ratio metrics, 50 for warn-only "
-            "wall metrics)",
-        )
-        _add_output_options(sub_parser)
-    regress.add_argument(
-        "--only",
-        action="append",
-        metavar="BENCH[,BENCH...]",
-        help="gate only these benches (repeatable, comma-separable; "
-        "unknown names fail fast)",
-    )
-    regress.add_argument(
-        "--skip",
-        action="append",
-        metavar="BENCH[,BENCH...]",
-        help="exclude these benches (repeatable, comma-separable)",
-    )
-    regress.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also list the series skipped for lack of a baseline",
-    )
-    regress.set_defaults(func=_cmd_analytics_regress)
-    report_cmd.add_argument(
-        "--store",
-        metavar="PATH",
-        default=None,
-        help="result store to trend over, grouped by provenance "
-        "(optional)",
-    )
-    report_cmd.add_argument(
-        "--url",
-        metavar="URL",
-        default=None,
-        help="query a running `repro serve` for its artifacts "
-        "instead of (or besides) a local store",
-    )
-    report_cmd.set_defaults(func=_cmd_analytics_report)
-
-    registry = sub.add_parser(
-        "registry", help="list pluggable codes/checkers/mappings/decoders"
-    )
-    _add_output_options(registry)
-    registry.set_defaults(func=_cmd_registry)
-
-    lint = sub.add_parser(
-        "lint",
-        help="static design linter & TSC property prover",
-        description=(
-            "Statically analyze a design or suite without simulating a "
-            "cycle: netlist well-formedness, TSC checker proofs "
-            "(code-disjoint / self-testing / fault-secure), collapse "
-            "soundness, and suite-spec sanity.  Exit code 0 means no "
-            "error findings (with --strict: no findings at all)."
-        ),
-    )
-    lint.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help="SuiteSpec or DesignSpec JSON file, built-in suite name, "
-        "paper label ('16x2K') or WORDSxBITS[xMUX]",
-    )
-    lint.add_argument(
-        "--cycles", "-c", type=int, default=10,
-        help="latency budget for organisation targets (default 10)",
-    )
-    lint.add_argument(
-        "--pndc", "-p", type=float, default=1e-9,
-        help="escape-probability target for organisation targets "
-        "(default 1e-9)",
-    )
-    lint.add_argument(
-        "--rules",
-        action="append",
-        metavar="ID[,ID...]",
-        help="run only these rule ids (repeatable, comma-separable)",
-    )
-    lint.add_argument(
-        "--skip",
-        action="append",
-        metavar="ID[,ID...]",
-        help="exclude these rule ids (repeatable, comma-separable)",
-    )
-    lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on warnings and info findings too",
-    )
-    lint.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list the registered rules and exit",
-    )
-    _add_output_options(lint)
-    lint.set_defaults(func=_cmd_lint)
-
-    for entry in EXPERIMENTS:
-        cmd = sub.add_parser(entry.name, help=entry.help)
-        _add_output_options(cmd)
-        if entry.engine_aware:
-            _add_engine_options(cmd)
-            _add_store_options(cmd)
-        cmd.set_defaults(func=entry.run)
-
+    sub = parser.add_subparsers(
+        dest="command", required=True, action=_LazyCommands
+    )
+    for command in COMMANDS:
+        sub.add_stub(command)
     return parser
 
 

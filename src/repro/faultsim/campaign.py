@@ -86,13 +86,33 @@ def classify_structural_fault(
     re-decodes a consistent wrong address — an out-of-model address fault,
     not a block fault.
     """
+    return _classify(
+        fault,
+        checked.tree.circuit.input_nets,
+        checked.rom_nets,
+        checked.tree.site_of_net,
+    )
+
+
+def _structural_classifier(
+    checked: CheckedDecoder,
+) -> Callable[[FaultBase], str]:
+    """:func:`classify_structural_fault` for one decoder, its input and
+    ROM nets gathered into sets once (campaigns classify every record
+    of a decoder)."""
+    inputs = frozenset(checked.tree.circuit.input_nets)
+    rom = frozenset(checked.rom_nets)
+    site_of_net = checked.tree.site_of_net
+    return lambda fault: _classify(fault, inputs, rom, site_of_net)
+
+
+def _classify(fault, inputs, rom, site_of_net) -> str:
     if isinstance(fault, NetStuckAt):
-        if fault.net in checked.tree.circuit.input_nets:
+        if fault.net in inputs:
             return "address"
-        if fault.net in checked.rom_nets:
+        if fault.net in rom:
             return "rom"
-        site = checked.tree.site_of_net(fault.net)
-        if site is None:
+        if site_of_net(fault.net) is None:
             return "address"
         return "sa0" if fault.value == 0 else "sa1"
     return "pin"
@@ -161,9 +181,10 @@ def decoder_campaign(
 
     analytic = analytic_escapes(checked) if attach_analytic else None
 
+    classify = _structural_classifier(checked)
     records: List[ResultRecord] = []
     for fault in faults:
-        kind = classify_structural_fault(checked, fault)
+        kind = classify(fault)
         first_error: Optional[int] = None
         first_detection: Optional[int] = None
         for cycle, address in enumerate(addresses):
@@ -261,11 +282,13 @@ def scheme_campaign(
         records.append(ResultRecord(fault_id(fault), kind, first_detection))
         memory.clear_faults()
 
+    classify = _structural_classifier(memory.row)
     for fault in row_faults:
-        kind = classify_structural_fault(memory.row, fault)
+        kind = classify(fault)
         run_one(fault, kind, lambda f=fault: memory.inject_row_fault(f))
+    classify = _structural_classifier(memory.column)
     for fault in column_faults:
-        kind = classify_structural_fault(memory.column, fault)
+        kind = classify(fault)
         run_one(fault, kind, lambda f=fault: memory.inject_column_fault(f))
     for fault in memory_faults:
         run_one(fault, "memory", lambda f=fault: memory.inject_memory_fault(f))

@@ -452,8 +452,8 @@ def decoder_campaign_vector(
     """
     from repro.faultsim.campaign import (
         _driver_result,
+        _structural_classifier,
         analytic_escapes,
-        classify_structural_fault,
     )
 
     if chunk is not None and chunk < 1:
@@ -470,6 +470,7 @@ def decoder_campaign_vector(
         workers,
     )
 
+    classify = _structural_classifier(checked)
     records: List[ResultRecord] = []
     for fault in faults:
         key = fault.key()
@@ -480,7 +481,7 @@ def decoder_campaign_vector(
         records.append(
             ResultRecord(
                 fault_id(fault),
-                classify_structural_fault(checked, fault),
+                classify(fault),
                 first_detection,
                 first_error,
                 escape,
@@ -911,7 +912,7 @@ def scheme_campaign_vector(
     """
     from repro.faultsim.campaign import (
         _driver_result,
-        classify_structural_fault,
+        _structural_classifier,
         default_scheme_writer,
     )
 
@@ -957,10 +958,12 @@ def scheme_campaign_vector(
     col_out = outcomes[len(row_reps) : len(row_reps) + len(col_reps)]
     mem_out = outcomes[len(row_reps) + len(col_reps) :]
 
+    classify_row = _structural_classifier(memory.row)
+    classify_column = _structural_classifier(memory.column)
     records = [
         ResultRecord(
             fault_id(fault),
-            classify_structural_fault(memory.row, fault),
+            classify_row(fault),
             row_out[row_groups[fault.key()]],
         )
         for fault in row_faults
@@ -968,7 +971,7 @@ def scheme_campaign_vector(
     records += [
         ResultRecord(
             fault_id(fault),
-            classify_structural_fault(memory.column, fault),
+            classify_column(fault),
             col_out[col_groups[fault.key()]],
         )
         for fault in column_faults

@@ -611,7 +611,9 @@ class ResultStore:
         }
         tmp_path = _tmp_path(path)
         with open(tmp_path, "w") as handle:
-            json.dump(envelope, handle, sort_keys=True)
+            # json.dump would stream through json's pure-Python encoder,
+            # about 3x slower for the same bytes
+            handle.write(json.dumps(envelope, sort_keys=True))
             handle.write("\n")
         os.replace(tmp_path, path)
         self.stats.puts += 1

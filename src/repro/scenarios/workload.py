@@ -533,6 +533,9 @@ class ExplicitWorkload(Workload):
         for address in self.addresses_:
             yield Access("r", address)
 
+    def addresses(self) -> Iterator[int]:
+        return iter(self.addresses_)
+
     @property
     def cycles(self) -> int:
         return len(self.addresses_)
@@ -540,9 +543,6 @@ class ExplicitWorkload(Workload):
     @property
     def has_writes(self) -> bool:
         return False
-
-    def address_list(self) -> List[int]:
-        return list(self.addresses_)
 
     def _params(self) -> dict:
         return {"addresses_": list(self.addresses_)}
@@ -571,6 +571,13 @@ class ConcatWorkload(Workload):
         for part in self.parts:
             yield from part.accesses()
 
+    def addresses(self) -> Iterator[int]:
+        """The parts' own address views, chained: no per-cycle
+        :class:`Access` where a part has none."""
+        return itertools.chain.from_iterable(
+            part.addresses() for part in self.parts
+        )
+
     @property
     def cycles(self) -> int:
         return sum(part.cycles for part in self.parts)
@@ -592,6 +599,18 @@ class ConcatWorkload(Workload):
         return " + ".join(part.label() for part in self.parts)
 
 
+def _round_robin(iterators: List[Iterator]) -> Iterator:
+    """One item from each iterator in turn, dropping each from the
+    rotation once it is exhausted (the itertools documentation's
+    ``roundrobin`` recipe: the rotation runs in C iterators)."""
+    rotation: Iterator[Iterator] = iter(iterators)
+    for active in range(len(iterators), 0, -1):
+        # resumes after the iterator that just ran out, so the order of
+        # the rest of the round is kept
+        rotation = itertools.cycle(itertools.islice(rotation, active))
+        yield from map(next, rotation)
+
+
 @dataclass(frozen=True)
 class InterleavedWorkload(Workload):
     """Round-robin interleave, one access per part per turn; parts that
@@ -606,16 +625,11 @@ class InterleavedWorkload(Workload):
             raise ValueError("interleaving needs at least one workload")
 
     def accesses(self) -> Iterator[Access]:
-        iterators = [part.accesses() for part in self.parts]
-        while iterators:
-            alive = []
-            for iterator in iterators:
-                try:
-                    yield next(iterator)
-                except StopIteration:
-                    continue
-                alive.append(iterator)
-            iterators = alive
+        return _round_robin([part.accesses() for part in self.parts])
+
+    def addresses(self) -> Iterator[int]:
+        """The parts' own address views in the same rotation."""
+        return _round_robin([part.addresses() for part in self.parts])
 
     @property
     def cycles(self) -> int:

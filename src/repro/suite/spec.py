@@ -30,13 +30,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-__all__ = ["FAMILIES", "CampaignCell", "MatrixBlock", "SuiteSpec"]
+from repro.families import FAMILIES
 
-#: campaign families a cell can belong to.  ``design`` cells evaluate a
-#: DesignReport (analytic, or empirical with ``policy["empirical"]``);
-#: the rest run the matching :class:`~repro.scenarios.CampaignEngine`
-#: campaign.
-FAMILIES = ("design", "decoder", "scheme", "transient", "march")
+__all__ = ["FAMILIES", "CampaignCell", "MatrixBlock", "SuiteSpec"]
 
 #: families whose target is a ``DesignSpec`` dict (the rest take a RAM
 #: organisation dict: words/bits/column_mux)

@@ -128,6 +128,23 @@ class TestSweep:
         ) == 0
         assert "16x1K" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_sweep_refuses_workers_below_one(
+        self, capsys, workers, executor
+    ):
+        # the engine commands' refusal; DesignEngine.sweep itself still
+        # runs serially for workers <= 1
+        assert main(
+            ["sweep", "-c", "10", "-p", "1e-9", "--workers", workers,
+             "--executor", executor]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --workers must be >= 1, got {workers}\n"
+        )
+        assert captured.out == ""
+
     def test_sweep_bad_org_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -2,8 +2,9 @@
 references: generated campaigns (golden image, memory faults patched
 into it, structural faults both computed in bulk and run gate by gate)
 against the serial oracle, the golden image against
-``default_scheme_writer``, and the uniform trace against
-``random.Random.randrange``."""
+``default_scheme_writer``, the uniform trace against
+``random.Random.randrange``, and the address views of concatenated and
+interleaved workloads against their per-access traces."""
 
 import random
 from types import SimpleNamespace
@@ -35,6 +36,7 @@ from repro.memory.faults import (
 from repro.memory.organization import MemoryOrganization
 from repro.memory.ram import BehavioralRAM
 from repro.scenarios import Workload
+from repro.scenarios.workload import ConcatWorkload, InterleavedWorkload
 
 GENERATED = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -352,3 +354,61 @@ def test_uniform_trace_takes_any_integer_space():
     assert Workload.uniform(np.int64(2048), 16, seed=1).address_list() == (
         pinned
     )
+
+
+SPACES = st.integers(1, 300)
+LENGTHS = st.integers(0, 40)
+SEEDS = st.integers(0, 99)
+
+#: the leaf kinds a campaign trace is composed of, with unequal lengths
+LEAF_WORKLOADS = st.one_of(
+    st.builds(Workload.uniform, SPACES, LENGTHS, seed=SEEDS),
+    st.builds(
+        Workload.sequential, SPACES, LENGTHS, start=st.integers(0, 500)
+    ),
+    st.builds(
+        Workload.bursty, SPACES, LENGTHS, locality=st.integers(1, 9),
+        seed=SEEDS,
+    ),
+    st.builds(
+        Workload.scrubbed, SPACES, LENGTHS,
+        scrub_period=st.integers(0, 6), seed=SEEDS,
+    ),
+    st.builds(
+        Workload.explicit, st.lists(st.integers(0, 1000), max_size=30)
+    ),
+)
+
+
+def _composed(parts):
+    groups = st.lists(parts, min_size=1, max_size=4).map(tuple)
+    return st.one_of(
+        groups.map(ConcatWorkload), groups.map(InterleavedWorkload)
+    )
+
+
+def reference_trace(workload):
+    """The address trace composed by hand from the leaves' accesses:
+    parts back to back, or round by round with exhausted parts left
+    out."""
+    if isinstance(workload, ConcatWorkload):
+        return [a for part in workload.parts for a in reference_trace(part)]
+    if isinstance(workload, InterleavedWorkload):
+        traces = [reference_trace(part) for part in workload.parts]
+        return [
+            trace[i]
+            for i in range(max(map(len, traces)))
+            for trace in traces
+            if i < len(trace)
+        ]
+    return [access.address for access in workload.accesses()]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(workload=st.recursive(LEAF_WORKLOADS, _composed, max_leaves=12))
+def test_composed_address_views_follow_the_accesses(workload):
+    expected = [access.address for access in workload.accesses()]
+    assert expected == reference_trace(workload)
+    assert len(expected) == workload.cycles
+    assert list(workload.addresses()) == expected
+    assert workload.address_list() == expected

@@ -36,6 +36,17 @@ HEAVY = (
     "repro.suite.runner",
 )
 
+#: what ``--version``, ``results export``, ``store stats`` and ``submit``
+#: may not load either: the design, scenario and suite layers that only
+#: other commands' parsers and handlers need
+DESIGN_LAYERS = (
+    "repro.core",
+    "repro.design",
+    "repro.scenarios",
+    "repro.memory",
+    "repro.suite",
+)
+
 #: ``python -m repro ARGS`` that reports, as the last line of stderr,
 #: its exit code and every module it loaded
 PROBE = """\
@@ -67,20 +78,25 @@ def fresh_python(args, cwd):
     )
 
 
-def run_light(cwd, *argv):
+def run_light(cwd, *argv, forbidden=HEAVY):
     """Run ``repro ARGV`` in a fresh interpreter; returns its stdout
-    after checking that it exited 0 and loaded no :data:`HEAVY`
-    module."""
+    after checking that it exited 0 and loaded no ``forbidden`` module
+    or package."""
     done = fresh_python(["-c", PROBE, *argv], cwd)
     status = json.loads(done.stderr.splitlines()[-1])
     assert status["exit"] == 0, done.stderr
     heavy = [
         name
         for name in status["modules"]
-        if any(name == h or name.startswith(h + ".") for h in HEAVY)
+        if any(name == h or name.startswith(h + ".") for h in forbidden)
     ]
     assert not heavy, f"`repro {' '.join(argv)}` loaded {heavy}"
     return done.stdout
+
+
+def run_lightest(cwd, *argv):
+    """:func:`run_light` that also refuses the :data:`DESIGN_LAYERS`."""
+    return run_light(cwd, *argv, forbidden=HEAVY + DESIGN_LAYERS)
 
 
 # -- (a) light commands start without NumPy ----------------------------------
@@ -95,19 +111,19 @@ def store(tmp_path_factory):
 
 class TestLightCommands:
     def test_version(self, tmp_path):
-        assert run_light(tmp_path, "--version").startswith("repro ")
+        assert run_lightest(tmp_path, "--version").startswith("repro ")
 
     def test_store_commands(self, tmp_path, store):
         key = ResultStore(store).keys()[0]
         out = tmp_path / "export.jsonl"
         listing = run_light(tmp_path, "results", "ls", "--store", store)
         assert key[:12] in listing
-        run_light(
+        run_lightest(
             tmp_path, "results", "export", key[:12], "--store", store,
             "--out", str(out),
         )
         assert out.read_text().strip()
-        assert "campaigns" in run_light(
+        assert "campaigns" in run_lightest(
             tmp_path, "store", "stats", "--store", store
         )
         assert "store ok" in run_light(
@@ -119,7 +135,7 @@ class TestLightCommands:
         with CampaignService(root, workers=1) as service:
             with serving(service) as url:
                 job = json.loads(
-                    run_light(
+                    run_lightest(
                         tmp_path, "submit", "smoke", "--wait", "--json",
                         "--quiet", "--url", url,
                     )

@@ -338,6 +338,25 @@ class TestStoreIntrospection:
         assert usage["total_bytes"] >= usage["payload_bytes"]
         assert usage["root"] == store.root
 
+    def test_report_file_is_one_sorted_json_line(self, tmp_path):
+        # the bytes json.dump(envelope, handle, sort_keys=True) wrote,
+        # so stores written before and after read alike
+        from repro.results.store import canonical_json, content_digest
+
+        store = ResultStore(tmp_path / "store")
+        report = {"suite": "tiny", "rows": [{"b": 1.5, "a": None}]}
+        store.put_report("d" * 64, report)
+        envelope = {
+            "format": 1,
+            "sha256": content_digest(canonical_json(report)),
+            "report": report,
+        }
+        expected = json.dumps(envelope, sort_keys=True) + "\n"
+        with open(store._report_path("d" * 64)) as handle:
+            assert handle.read() == expected
+        assert store.get_report("d" * 64) == report
+        assert store.stats.verified == 1
+
     def test_verify_all_clean_store(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         store.put(campaign_key({"v": 1}), sample_set())
